@@ -15,7 +15,6 @@ from .tensor_ops import (
     as_f64,
     causal_additive_mask,
     ensure_finite,
-    matmul,
     softmax_rows,
     window_additive_mask,
 )
@@ -76,5 +75,4 @@ __all__ = [
     "swa",
     "linear_attention_parallel",
     "linear_attention_recurrent",
-    "matmul",
 ]

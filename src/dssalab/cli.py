@@ -52,8 +52,20 @@ def _emit_json(obj: dict, out_path: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def positive_int(text: str) -> int:
+    """argparse type for counts and sizes: a malformed or non-positive value
+    is a usage error (exit 2), never a crash or a check of nothing."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def positive_int_list(text: str) -> list[int]:
+    values = [positive_int(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
+    return values
 
 
 def parse_length(text: str) -> int:
@@ -84,8 +96,6 @@ def _swa_via_mask(q, k, v, window: int, fault: bool) -> np.ndarray:
 
 def cmd_attn_check(args) -> int:
     rng = np.random.default_rng(args.seed)
-    sizes = _parse_int_list(args.sizes)
-    dims = _parse_int_list(args.dims)
     errors = {
         "linear_parallel_vs_recurrent": 0.0,
         "sse_single_partition_vs_linear_recurrent": 0.0,
@@ -93,8 +103,8 @@ def cmd_attn_check(args) -> int:
         "swa_full_window_vs_full": 0.0,
     }
     fault_pending = args.inject_fault
-    for n in sizes:
-        for d in dims:
+    for n in args.sizes:
+        for d in args.dims:
             for _ in range(args.trials):
                 q, k, v = (rng.standard_normal((n, d)) * 0.3 for _ in range(3))
                 lin_par = linear_attention_parallel(q, k, v)
@@ -179,9 +189,7 @@ def cmd_spike_report(args) -> int:
             "shape": list(x.shape),
             "group_size": args.group_size,
             "firing_rate": spike.firing_rate(train),
-            "add_events": report.add_events,
-            "skipped_events": report.skipped_events,
-            "dense_mac_equivalent": report.dense_mac_equivalent,
+            **report.to_json(),
         },
         args.out,
     )
@@ -346,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attn-check", help="attention equivalence suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", default="1,4,8,16", help="comma-separated sequence lengths")
-    p.add_argument("--dims", default="2,4", help="comma-separated head dims")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--sizes", type=positive_int_list, default="1,4,8,16",
+                   help="comma-separated sequence lengths")
+    p.add_argument("--dims", type=positive_int_list, default="2,4", help="comma-separated head dims")
+    p.add_argument("--trials", type=positive_int, default=5)
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--inject-fault", action="store_true",
                    help="flip one mask bit in the window suite (negative control)")
@@ -358,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quant-report", help="blockwise INT8 weight stats")
     p.add_argument("--input", required=True, help="tensor file (json or binary)")
     p.add_argument("--grid", default=",".join(str(c) for c in quant.DEFAULT_CLIP_GRID))
-    p.add_argument("--block-size", type=int, default=128)
+    p.add_argument("--block-size", type=positive_int, default=128)
     p.add_argument("--save", default=None, help="write the quantized container here")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_quant_report)
 
     p = sub.add_parser("spike-report", help="spike expansion stats")
     p.add_argument("--input", required=True, help="activation tensor file")
-    p.add_argument("--group-size", type=int, default=128)
+    p.add_argument("--group-size", type=positive_int, default=128)
     p.add_argument("--weight", default=None, help="optional weight tensor file")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spike_report)
@@ -374,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", default="128k,256k,512k,1M,2M,4M")
     p.add_argument("--plan", default=None, help="layer plan JSON file (default: built-in plan)")
     p.add_argument("--schedule", choices=("fixed", "auto"), default="fixed")
-    p.add_argument("--d-model", type=int, default=4096)
-    p.add_argument("--block-size", type=int, default=4096)
-    p.add_argument("--top-k", type=int, default=12)
+    p.add_argument("--d-model", type=positive_int, default=4096)
+    p.add_argument("--block-size", type=positive_int, default=4096)
+    p.add_argument("--top-k", type=positive_int, default=12)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scaling_table)
 
@@ -399,10 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moba-trace", help="block selections per query")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--d", type=int, default=4)
-    p.add_argument("--block-size", type=int, default=4)
-    p.add_argument("--top-k", type=int, default=2)
+    p.add_argument("--n", type=positive_int, default=16)
+    p.add_argument("--d", type=positive_int, default=4)
+    p.add_argument("--block-size", type=positive_int, default=4)
+    p.add_argument("--top-k", type=positive_int, default=2)
     p.add_argument("--queries", default=None, help="query tensor file")
     p.add_argument("--keys", default=None, help="key tensor file")
     p.add_argument("--out", default=None)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .moba import activation_ratio
 from .stack import LayerPlan, default_plan
 
 FLOPS_PER_MAC = 2
@@ -257,7 +258,7 @@ def scaling_rows(lengths, p: CostParams, plan: LayerPlan | None = None,
                 ratio=dense.prefill_flops / dssa.prefill_flops,
                 fa_kv_bytes=dense.total_bytes,
                 dssa_kv_bytes=dssa.total_bytes,
-                moba_activation_ratio=min(1.0, params.moba_top_k * params.moba_block_size / n),
+                moba_activation_ratio=activation_ratio(n, params.moba_block_size, params.moba_top_k),
             )
         )
     return rows

@@ -9,11 +9,10 @@ the INT8 activation layout, with 448 in place of 127.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensor_ops import ShapeError, as_f64, ensure_finite
+from .quant import QuantizedGroupActivation, encode_groups
+from .tensor_ops import ShapeError, as_f64
 
 EXP_BITS = 4
 MAN_BITS = 3
@@ -92,45 +91,15 @@ def decode_array(codes: np.ndarray) -> np.ndarray:
     return CODEPOINTS[np.asarray(codes, dtype=np.uint8)]
 
 
-@dataclass
-class Fp8GroupActivation:
-    """Groupwise 8-bit-float activations; scale = max|group| / 448."""
+class Fp8GroupActivation(QuantizedGroupActivation):
+    """Groupwise 8-bit-float activations; scale = max|group| / 448. The
+    group layout is the INT8 one; only the code decoding differs."""
 
-    codes: np.ndarray  # uint8, (n, d)
-    scales: np.ndarray  # float64, (n, n_groups)
-    group_size: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.codes.shape
-
-    def group_bounds(self, g: int) -> slice:
-        return slice(g * self.group_size, min((g + 1) * self.group_size, self.codes.shape[1]))
-
-    def dequantize(self) -> np.ndarray:
-        out = np.empty(self.codes.shape)
-        for g in range(self.scales.shape[1]):
-            cols = self.group_bounds(g)
-            out[:, cols] = decode_array(self.codes[:, cols]) * self.scales[:, g : g + 1]
-        return out
+    decode = staticmethod(decode_array)
 
 
 def fp8_quantize(x, group_size: int = 128) -> Fp8GroupActivation:
-    x = as_f64(x)
-    if x.ndim != 2:
-        raise ShapeError(f"activations must be 2-D, got shape {x.shape}")
-    ensure_finite(x, "fp8_quantize")
-    n, d = x.shape
-    n_groups = (d + group_size - 1) // group_size
-    codes = np.zeros((n, d), dtype=np.uint8)
-    scales = np.ones((n, n_groups))
-    for g in range(n_groups):
-        cols = slice(g * group_size, min((g + 1) * group_size, d))
-        group = x[:, cols]
-        amax = np.max(np.abs(group), axis=1)
-        scale = np.where(amax == 0.0, 1.0, amax / MAX_FINITE)
-        codes[:, cols] = encode_array(group / scale[:, None])
-        scales[:, g] = scale
+    codes, scales = encode_groups(x, group_size, MAX_FINITE, encode_array, np.uint8, "fp8_quantize")
     return Fp8GroupActivation(codes=codes, scales=scales, group_size=group_size)
 
 

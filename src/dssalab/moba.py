@@ -20,15 +20,12 @@ from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, softmax_rows
 class MobaParams:
     block_size: int
     top_k: int
-    pool: str = "mean"
 
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.pool != "mean":
-            raise ValueError(f"unknown pool {self.pool!r}")
 
 
 @dataclass

@@ -37,10 +37,6 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def _grid_starts(total: int, step: int) -> range:
-    return range(0, total, step)
-
-
 @dataclass
 class QuantizedBlockMatrix:
     """Per-block symmetric INT8 weights.
@@ -77,11 +73,17 @@ class QuantizedBlockMatrix:
 
 @dataclass
 class QuantizedGroupActivation:
-    """Per-group symmetric INT8 activations; the group max sets the scale."""
+    """Per-row group-scaled activation codes: a value is decode(code) times
+    the scale of its row and group. The INT8 coding decodes a code to itself;
+    other codings (see fp8.Fp8GroupActivation) override only `decode`."""
 
-    codes: np.ndarray  # int8, (n, d)
+    codes: np.ndarray  # (n, d)
     scales: np.ndarray  # float64, (n, n_groups)
     group_size: int
+
+    @staticmethod
+    def decode(codes: np.ndarray) -> np.ndarray:
+        return codes.astype(np.float64)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -94,12 +96,35 @@ class QuantizedGroupActivation:
         out = np.empty(self.codes.shape)
         for g in range(self.scales.shape[1]):
             cols = self.group_bounds(g)
-            out[:, cols] = self.codes[:, cols].astype(np.float64) * self.scales[:, g : g + 1]
+            out[:, cols] = self.decode(self.codes[:, cols]) * self.scales[:, g : g + 1]
         return out
 
 
-def _quantize_with_scale(block: np.ndarray, scale: float) -> np.ndarray:
-    return np.clip(round_half_away(block / scale), -127, 127).astype(np.int8)
+def encode_groups(x, group_size: int, qmax: float, encode, dtype, caller: str):
+    """The per-row group layout of the activation codings: each row of x is
+    cut into groups of group_size columns, a group's scale is its max
+    magnitude over qmax (1 for an all-zero group), and encode maps the
+    scaled group to codes of type dtype. Returns (codes, scales)."""
+    x = as_f64(x)
+    if x.ndim != 2:
+        raise ShapeError(f"activations must be 2-D, got shape {x.shape}")
+    ensure_finite(x, caller)
+    if group_size < 1:
+        raise ValueError(f"group size must be >= 1, got {group_size}")
+    n, d = x.shape
+    codes = np.zeros((n, d), dtype=dtype)
+    scales = np.ones((n, (d + group_size - 1) // group_size))
+    for g, c0 in enumerate(range(0, d, group_size)):
+        group = x[:, c0 : c0 + group_size]
+        amax = np.max(np.abs(group), axis=1)
+        scale = np.where(amax == 0.0, 1.0, amax / qmax)
+        codes[:, c0 : c0 + group_size] = encode(group / scale[:, None])
+        scales[:, g] = scale
+    return codes, scales
+
+
+def _clamp_round(x: np.ndarray) -> np.ndarray:
+    return np.clip(round_half_away(x), -127, 127).astype(np.int8)
 
 
 def quantize_weight_blocks(
@@ -123,16 +148,17 @@ def quantize_weight_blocks(
         if not 0.0 < c <= 1.0:
             raise ValueError(f"clip coefficients must lie in (0, 1], got {c}")
     grid_desc = sorted(grid, reverse=True)  # scan larger c first so ties keep it
-
     rs, cs = block_shape
+    if rs < 1 or cs < 1:
+        raise ValueError(f"block shape must be positive, got {block_shape}")
     nbr = (w.shape[0] + rs - 1) // rs
     nbc = (w.shape[1] + cs - 1) // cs
     codes = np.zeros(w.shape, dtype=np.int8)
     scales = np.ones((nbr, nbc))
     clips = np.ones((nbr, nbc))
     mse = np.zeros((nbr, nbc))
-    for br, r0 in enumerate(_grid_starts(w.shape[0], rs)):
-        for bc, c0 in enumerate(_grid_starts(w.shape[1], cs)):
+    for br, r0 in enumerate(range(0, w.shape[0], rs)):
+        for bc, c0 in enumerate(range(0, w.shape[1], cs)):
             block = w[r0 : r0 + rs, c0 : c0 + cs]
             amax = np.max(np.abs(block))
             if amax == 0.0:
@@ -140,7 +166,7 @@ def quantize_weight_blocks(
             best = None
             for c in grid_desc:
                 scale = c * amax / 127.0
-                cand = _quantize_with_scale(block, scale)
+                cand = _clamp_round(block / scale)
                 err = float(np.mean((cand.astype(np.float64) * scale - block) ** 2))
                 if best is None or err < best[0]:
                     best = (err, c, scale, cand)
@@ -151,51 +177,38 @@ def quantize_weight_blocks(
 
 def quantize_activation_groups(x, group_size: int = DEFAULT_GROUP_SIZE) -> QuantizedGroupActivation:
     """Groupwise INT8 along the feature axis; scale = max|group| / 127."""
-    x = as_f64(x)
-    if x.ndim != 2:
-        raise ShapeError(f"activations must be 2-D, got shape {x.shape}")
-    ensure_finite(x, "quantize_activation_groups")
-    n, d = x.shape
-    n_groups = (d + group_size - 1) // group_size
-    codes = np.zeros((n, d), dtype=np.int8)
-    scales = np.ones((n, n_groups))
-    for g, c0 in enumerate(_grid_starts(d, group_size)):
-        group = x[:, c0 : c0 + group_size]
-        amax = np.max(np.abs(group), axis=1)
-        scale = np.where(amax == 0.0, 1.0, amax / 127.0)
-        codes[:, c0 : c0 + group_size] = np.clip(
-            round_half_away(group / scale[:, None]), -127, 127
-        ).astype(np.int8)
-        scales[:, g] = scale
+    codes, scales = encode_groups(
+        x, group_size, 127.0, _clamp_round, np.int8, "quantize_activation_groups"
+    )
     return QuantizedGroupActivation(codes=codes, scales=scales, group_size=group_size)
 
 
-def int8_matmul_reference(a: QuantizedGroupActivation, w: QuantizedBlockMatrix) -> np.ndarray:
-    """Integer-exact reference product of quantized operands.
-
-    Tiles the inner dimension by the activation group size (which must
-    equal the weight block row count), accumulates each tile in int32,
-    then applies both scales in float64, summing tiles in ascending order.
-    This fixed evaluation order is the contract the event-driven path
-    reproduces bit for bit.
+def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
+    """The tile loop shared by the integer paths. For activation group g and
+    weight block column bc, tile_product(rows, w_tile) returns the exact
+    int32 product of a's columns `rows` with the int32 weight tile; both
+    scales are then applied in float64 and tiles summed in ascending group
+    order, so paths whose tile products agree give bit-identical results.
     """
     if a.group_size != w.block_shape[0]:
         raise ShapeError(
             f"activation group size {a.group_size} != weight block rows {w.block_shape[0]}"
         )
-    if a.codes.shape[1] != w.codes.shape[0]:
-        raise ShapeError(f"inner dims disagree: {a.codes.shape} @ {w.codes.shape}")
-    n, _ = a.codes.shape
-    m = w.codes.shape[1]
-    out = np.zeros((n, m))
+    if a.shape[1] != w.codes.shape[0]:
+        raise ShapeError(f"inner dims disagree: {a.shape} @ {w.codes.shape}")
+    out = np.zeros((a.shape[0], w.codes.shape[1]))
     for g in range(a.scales.shape[1]):
-        rows = a.group_bounds(g)
-        a_tile = a.codes[:, rows].astype(np.int32)
         for bc in range(w.scales.shape[1]):
-            _, cols = w.block_bounds(g, bc)
-            acc = a_tile @ w.codes[rows, cols].astype(np.int32)
+            rows, cols = w.block_bounds(g, bc)
+            acc = tile_product(rows, w.codes[rows, cols].astype(np.int32))
             out[:, cols] += acc.astype(np.float64) * a.scales[:, g : g + 1] * w.scales[g, bc]
     return out
+
+
+def int8_matmul_reference(a: QuantizedGroupActivation, w: QuantizedBlockMatrix) -> np.ndarray:
+    """Integer-exact reference product: int32 tile products through
+    int8_tiles, whose fixed order the event-driven path reproduces."""
+    return int8_tiles(a, w, lambda rows, w_tile: a.codes[:, rows].astype(np.int32) @ w_tile)
 
 
 def save_block_matrix(path, qw: QuantizedBlockMatrix) -> None:
@@ -207,23 +220,31 @@ def save_block_matrix(path, qw: QuantizedBlockMatrix) -> None:
         fh.write(qw.codes.astype("<i1").tobytes())
 
 
+def _read(fh, size: int, path) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated, a read of {size} bytes got {len(data)}")
+    return data
+
+
 def load_block_matrix(path) -> QuantizedBlockMatrix:
     with open(path, "rb") as fh:
         if fh.read(8) != BLOCK_MAGIC:
             raise ValueError(f"{path}: not a block-matrix container")
-        nrows, ncols, rs, cs = struct.unpack("<4I", fh.read(16))
+        nrows, ncols, rs, cs = struct.unpack("<4I", _read(fh, 16, path))
+        if rs < 1 or cs < 1:
+            raise ValueError(f"{path}: block shape {(rs, cs)} in the header is not positive")
         nbr, nbc = (nrows + rs - 1) // rs, (ncols + cs - 1) // cs
-        scales = np.frombuffer(fh.read(4 * nbr * nbc), dtype="<f4").astype(np.float64)
-        clips = np.frombuffer(fh.read(4 * nbr * nbc), dtype="<f4").astype(np.float64)
-        codes = np.frombuffer(fh.read(nrows * ncols), dtype="<i1").astype(np.int8)
-    qw = QuantizedBlockMatrix(
+        scales = np.frombuffer(_read(fh, 4 * nbr * nbc, path), dtype="<f4").astype(np.float64)
+        clips = np.frombuffer(_read(fh, 4 * nbr * nbc, path), dtype="<f4").astype(np.float64)
+        codes = np.frombuffer(_read(fh, nrows * ncols, path), dtype="<i1").astype(np.int8)
+    return QuantizedBlockMatrix(
         codes=codes.reshape(nrows, ncols),
         scales=scales.reshape(nbr, nbc),
         clips=clips.reshape(nbr, nbc),
         mse=np.zeros((nbr, nbc)),
         block_shape=(rs, cs),
     )
-    return qw
 
 
 def save_group_activation(path, qa: QuantizedGroupActivation) -> None:
@@ -238,10 +259,12 @@ def load_group_activation(path) -> QuantizedGroupActivation:
     with open(path, "rb") as fh:
         if fh.read(8) != GROUP_MAGIC:
             raise ValueError(f"{path}: not a group-activation container")
-        n, d, gs = struct.unpack("<3I", fh.read(12))
+        n, d, gs = struct.unpack("<3I", _read(fh, 12, path))
+        if gs < 1:
+            raise ValueError(f"{path}: group size {gs} in the header is not positive")
         n_groups = (d + gs - 1) // gs
-        scales = np.frombuffer(fh.read(4 * n * n_groups), dtype="<f4").astype(np.float64)
-        codes = np.frombuffer(fh.read(n * d), dtype="<i1").astype(np.int8)
+        scales = np.frombuffer(_read(fh, 4 * n * n_groups, path), dtype="<f4").astype(np.float64)
+        codes = np.frombuffer(_read(fh, n * d, path), dtype="<i1").astype(np.int8)
     return QuantizedGroupActivation(
         codes=codes.reshape(n, d), scales=scales.reshape(n, n_groups), group_size=gs
     )

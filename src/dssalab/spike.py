@@ -12,12 +12,11 @@ the dense multiply-accumulate work the sparsity skips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .quant import QuantizedBlockMatrix, QuantizedGroupActivation
-from .tensor_ops import ShapeError
+from .quant import QuantizedBlockMatrix, QuantizedGroupActivation, int8_tiles
 
 NUM_PLANES = 7
 MAX_INNER_DIM = 1 << 16  # keeps 127*127*inner inside int32
@@ -36,9 +35,6 @@ class SpikeTrain:
     @property
     def shape(self) -> tuple[int, int]:
         return self.signs.shape
-
-    def group_bounds(self, g: int) -> slice:
-        return slice(g * self.group_size, min((g + 1) * self.group_size, self.signs.shape[1]))
 
 
 @dataclass
@@ -59,11 +55,7 @@ class OpCountReport:
         return NUM_PLANES * self.dense_mac_equivalent
 
     def to_json(self) -> dict:
-        return {
-            "add_events": self.add_events,
-            "skipped_events": self.skipped_events,
-            "dense_mac_equivalent": self.dense_mac_equivalent,
-        }
+        return asdict(self)
 
 
 def spike_encode(qa: QuantizedGroupActivation) -> SpikeTrain:
@@ -109,34 +101,24 @@ def spike_matmul(train: SpikeTrain, w: QuantizedBlockMatrix) -> tuple[np.ndarray
     """Event-driven product of a spike train with block-quantized weights.
 
     Per inner-dimension tile: every bit-plane contributes a signed {-1,0,1}
-    integer product shifted left by its plane index; the int32 tile
-    accumulator therefore equals the int8 tile product exactly, and the
-    float64 scale application copies the reference order, making the whole
-    result bit-identical to int8_matmul_reference.
+    integer product shifted left by its plane index, so the int32 tile
+    accumulator equals the int8 tile product exactly. The tiles run through
+    the same int8_tiles loop as int8_matmul_reference, which makes the whole
+    result bit-identical to it.
     """
-    if train.group_size != w.block_shape[0]:
-        raise ShapeError(f"group size {train.group_size} != weight block rows {w.block_shape[0]}")
-    if train.signs.shape[1] != w.codes.shape[0]:
-        raise ShapeError(f"inner dims disagree: {train.signs.shape} @ {w.codes.shape}")
-    if train.signs.shape[1] > MAX_INNER_DIM:
-        raise ValueError(f"inner dim {train.signs.shape[1]} exceeds int32-safe bound {MAX_INNER_DIM}")
+    if train.shape[1] > MAX_INNER_DIM:
+        raise ValueError(f"inner dim {train.shape[1]} exceeds int32-safe bound {MAX_INNER_DIM}")
     assert 127 * 127 * MAX_INNER_DIM < 2**31  # accumulator headroom
 
-    n = train.signs.shape[0]
-    m = w.codes.shape[1]
-    out = np.zeros((n, m))
-    for g in range(train.scales.shape[1]):
-        rows = train.group_bounds(g)
-        signs_tile = train.signs[:, rows].astype(np.int32)
-        for bc in range(w.scales.shape[1]):
-            _, cols = w.block_bounds(g, bc)
-            w_tile = w.codes[rows, cols].astype(np.int32)
-            acc = np.zeros((n, cols.stop - cols.start), dtype=np.int32)
-            for j in range(NUM_PLANES):
-                fired = train.planes[j][:, rows].astype(np.int32) * signs_tile
-                acc += (fired @ w_tile) << j
-            out[:, cols] += acc.astype(np.float64) * train.scales[:, g : g + 1] * w.scales[g, bc]
+    def tile_product(rows: slice, w_tile: np.ndarray) -> np.ndarray:
+        signs = train.signs[:, rows].astype(np.int32)
+        acc = np.zeros((train.shape[0], w_tile.shape[1]), dtype=np.int32)
+        for j in range(NUM_PLANES):
+            acc += ((train.planes[j][:, rows].astype(np.int32) * signs) @ w_tile) << j
+        return acc
 
+    out = int8_tiles(train, w, tile_product)
+    m = w.codes.shape[1]
     fired_bits = int(train.planes.sum(dtype=np.int64))
     dense_macs = train.signs.size * m
     add_events = fired_bits * m  # each fired bit adds one weight row into m columns

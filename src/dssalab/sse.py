@@ -23,8 +23,7 @@ FEATURE_MAPS = ("identity", "silu")
 class SSEParams:
     """Gating and preprocessing configuration.
 
-    gate_weight has shape (d_model, num_partitions). decay is a reserved
-    hook; only "none" is accepted.
+    gate_weight has shape (d_model, num_partitions).
     """
 
     num_partitions: int
@@ -33,7 +32,6 @@ class SSEParams:
     always_selected: int | None = None
     feature_map: str = "identity"
     qk_l2_norm: bool = False
-    decay: str = "none"
 
     def __post_init__(self):
         w = as_f64(self.gate_weight)
@@ -46,8 +44,6 @@ class SSEParams:
             raise ValueError(f"always_selected {self.always_selected} out of range")
         if self.feature_map not in FEATURE_MAPS:
             raise ValueError(f"unknown feature_map {self.feature_map!r}")
-        if self.decay != "none":
-            raise ValueError("decay dynamics are a reserved hook; only 'none' is supported")
 
 
 @dataclass

@@ -84,10 +84,7 @@ def default_plan(num_layers: int = DEFAULT_NUM_LAYERS) -> LayerPlan:
 
 @dataclass(frozen=True)
 class StackConfig:
-    """Shared hyperparameters for a stack instance.
-
-    rope and qk_norm are reserved hooks; enabling either raises.
-    """
+    """Shared hyperparameters for a stack instance."""
 
     d_model: int = 16
     n_heads: int = 2
@@ -102,18 +99,12 @@ class StackConfig:
     swa_window: int = 128
     merge_dropout: float = 0.5
     scale_qk: bool = True
-    rope: bool = False
-    qk_norm: bool = False
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 0.0 <= self.merge_dropout <= 1.0:
             raise ValueError(f"merge_dropout must be in [0, 1], got {self.merge_dropout}")
-        if self.rope:
-            raise ValueError("rotary embeddings are a reserved hook and not implemented")
-        if self.qk_norm:
-            raise ValueError("qk normalization is a reserved hook and not implemented")
 
     @property
     def d_head(self) -> int:
@@ -179,40 +170,24 @@ def merge_gate(dropout_rate: float, rng: np.random.Generator | None, training: b
     return (1.0 / (1.0 - dropout_rate)) if keep else 0.0
 
 
-def sse_swa_block(sse_out, swa_out, norm_sse, norm_swa, dropout_rate: float = 0.0,
-                  rng_seed: int = 0, training: bool = False,
-                  gate: float | None = None) -> np.ndarray:
+def sse_swa_block(sse_out, swa_out, norm_sse, norm_swa, gate: float = 1.0) -> np.ndarray:
     """Merge the two branch outputs: each is RMS-normed, the window branch
-    is scaled by the dropout gate, then they are summed.
-
-    The gate is drawn from a fresh generator seeded with rng_seed unless an
-    explicit gate is passed (the stack passes one from its own stream).
-    """
+    is scaled by the dropout gate (see merge_gate), then they are summed."""
     sse_out, swa_out = as_f64(sse_out), as_f64(swa_out)
     if sse_out.shape != swa_out.shape:
         raise ShapeError(f"branch shapes disagree: {sse_out.shape} vs {swa_out.shape}")
-    if gate is None:
-        gate = merge_gate(dropout_rate, np.random.default_rng(rng_seed), training)
     return rms_norm(sse_out, norm_sse) + gate * rms_norm(swa_out, norm_swa)
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> list[np.ndarray]:
-    d_head = x.shape[1] // n_heads
-    return [x[:, h * d_head : (h + 1) * d_head] for h in range(n_heads)]
-
-
-def _multihead(q, k, v, config: StackConfig, per_head) -> np.ndarray:
+def _multihead(normed: np.ndarray, lw: dict, prefix: str, config: StackConfig,
+               per_head) -> np.ndarray:
+    """Project with the `prefix` q/k/v weights, run per_head on each head's
+    slices, concatenate the heads and apply the `prefix` output projection."""
+    q, k, v = (normed @ lw[f"{prefix}_w{name}"] for name in "qkv")
     if config.scale_qk:
         q = q / np.sqrt(config.d_head)
-    outs = [
-        per_head(qh, kh, vh)
-        for qh, kh, vh in zip(
-            _split_heads(q, config.n_heads),
-            _split_heads(k, config.n_heads),
-            _split_heads(v, config.n_heads),
-        )
-    ]
-    return np.concatenate(outs, axis=1)
+    heads = zip(*(np.split(t, config.n_heads, axis=1) for t in (q, k, v)))
+    return np.concatenate([per_head(*h) for h in heads], axis=1) @ lw[f"{prefix}_wo"]
 
 
 @dataclass
@@ -237,25 +212,18 @@ def _attend(kind: str, normed: np.ndarray, lw: dict, config: StackConfig,
             qk_l2_norm=config.sse_qk_l2_norm,
         )
         sse_out = _multihead(
-            normed @ lw["sse_wq"], normed @ lw["sse_wk"], normed @ lw["sse_wv"], config,
+            normed, lw, "sse", config,
             lambda qh, kh, vh: sse_forward(normed, qh, kh, vh, sse_params).outputs,
-        ) @ lw["sse_wo"]
+        )
         swa_out = _multihead(
-            normed @ lw["swa_wq"], normed @ lw["swa_wk"], normed @ lw["swa_wv"], config,
-            lambda qh, kh, vh: swa(qh, kh, vh, config.swa_window),
-        ) @ lw["swa_wo"]
+            normed, lw, "swa", config, lambda qh, kh, vh: swa(qh, kh, vh, config.swa_window)
+        )
         return sse_swa_block(sse_out, swa_out, lw["merge_norm_sse"], lw["merge_norm_swa"], gate=gate)
     if kind == "moba":
         mp = MobaParams(block_size=config.moba_block_size, top_k=config.moba_top_k)
-        return _multihead(
-            normed @ lw["moba_wq"], normed @ lw["moba_wk"], normed @ lw["moba_wv"], config,
-            lambda qh, kh, vh: moba_forward(qh, kh, vh, mp),
-        ) @ lw["moba_wo"]
+        return _multihead(normed, lw, "moba", config, lambda qh, kh, vh: moba_forward(qh, kh, vh, mp))
     if kind == "fa":
-        return _multihead(
-            normed @ lw["fa_wq"], normed @ lw["fa_wk"], normed @ lw["fa_wv"], config,
-            full_attention,
-        ) @ lw["fa_wo"]
+        return _multihead(normed, lw, "fa", config, full_attention)
     raise ValueError(f"unknown layer kind {kind!r}")
 
 

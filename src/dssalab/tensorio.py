@@ -11,6 +11,7 @@ Binary (larger fixtures):
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -49,11 +50,15 @@ def load_tensor_bin(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise ValueError(f"bad magic in {path}")
+    if len(raw) < 12:
+        raise ValueError(f"truncated header in {path}")
     (rank,) = struct.unpack_from("<I", raw, 8)
+    if len(raw) < 12 + 4 * rank:
+        raise ValueError(f"truncated header in {path}: rank {rank} needs {4 * rank} bytes of dims")
     dims = struct.unpack_from(f"<{rank}I", raw, 12)
-    data = np.frombuffer(raw, dtype="<f4", offset=12 + 4 * rank)
-    if data.size != int(np.prod(dims)):
+    if len(raw) - (12 + 4 * rank) != 4 * math.prod(dims):
         raise ValueError(f"payload size mismatch in {path}")
+    data = np.frombuffer(raw, dtype="<f4", offset=12 + 4 * rank)
     out = data.reshape(dims).astype(np.float64)
     return ensure_finite(out, f"tensor file {path}")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -222,19 +223,55 @@ def test_every_subcommand_is_deterministic(tmp_path, tensor_file):
         assert out_a.encode() == out_b.encode(), argv
 
 
-def test_error_paths_exit_two(tmp_path, capsys):
-    assert main(["quant-report", "--input", str(tmp_path / "missing.json")]) == 2
-    assert "error" in capsys.readouterr().err
+def exit_code(argv: list[str]) -> int:
+    """main's return value, or the code argparse exits with on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
+
+def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
     bad_fixture = tmp_path / "bad.json"
     bad_fixture.write_text(json.dumps({"mode": "audio", "kd": 1.0, "mse": 1.0}))
-    assert main(["loss-check", "--fixture", str(bad_fixture)]) == 2
-
-    assert main(["scaling-table", "--lengths", "12x,64k"]) == 2
-
     not_json = tmp_path / "broken.json"
     not_json.write_text("{nope")
-    assert main(["layer-select", "--profile", str(not_json), "--threshold", "1.0"]) == 2
+    short_header = tmp_path / "short_header.bin"
+    short_header.write_bytes(tensorio.MAGIC + b"\x02\x00")  # 10 bytes, rank cut off
+    short_dims = tmp_path / "short_dims.bin"
+    short_dims.write_bytes(tensorio.MAGIC + struct.pack("<2I", 2, 4))  # second dim missing
+    short_payload = tmp_path / "short_payload.bin"
+    tensorio.save_tensor_bin(short_payload, np.ones((4, 4)))
+    short_payload.write_bytes(short_payload.read_bytes()[:-4])
+    cases = [
+        ["quant-report", "--input", str(tmp_path / "missing.json")],
+        ["loss-check", "--fixture", str(bad_fixture)],
+        ["scaling-table", "--lengths", "12x,64k"],
+        ["layer-select", "--profile", str(not_json), "--threshold", "1.0"],
+        ["quant-report", "--input", str(short_header)],
+        ["quant-report", "--input", str(short_dims)],
+        ["spike-report", "--input", str(short_payload)],
+        ["quant-report", "--input", tensor_file, "--block-size", "0"],
+        ["spike-report", "--input", tensor_file, "--group-size", "0"],
+        ["spike-report", "--input", tensor_file, "--group-size", "-8"],
+        ["attn-check", "--trials", "0"],
+        ["attn-check", "--trials", "two"],
+        ["attn-check", "--sizes", "0"],
+        ["attn-check", "--sizes", "4,0,8"],
+        ["attn-check", "--sizes", ","],
+        ["attn-check", "--dims", "0"],
+        ["scaling-table", "--d-model", "0"],
+        ["scaling-table", "--block-size", "0"],
+        ["scaling-table", "--top-k", "0"],
+        ["moba-trace", "--n", "0"],
+        ["moba-trace", "--d", "0"],
+        ["moba-trace", "--block-size", "0"],
+        ["moba-trace", "--top-k", "0"],
+    ]
+    for argv in cases:
+        assert exit_code(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err, argv
 
 
 def test_argparse_rejects_unknown_subcommand():

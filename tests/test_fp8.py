@@ -182,6 +182,8 @@ def test_quantize_validation():
         fp8_quantize(np.zeros(8))
     with pytest.raises(ValueError):
         fp8_quantize(np.array([[np.inf, 1.0]]))
+    with pytest.raises(ValueError):
+        fp8_quantize(np.ones((2, 4)), group_size=0)
 
 
 def test_matmul_emulated_plain_and_quantized_weights():

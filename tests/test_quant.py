@@ -177,6 +177,10 @@ def test_grid_validation():
         quantize_weight_blocks(np.ones((4, 4)), grid=(1.2,))
     with pytest.raises(ValueError):
         quantize_weight_blocks(np.ones((4, 4)), grid=(0.0,))
+    with pytest.raises(ValueError):
+        quantize_weight_blocks(np.ones((4, 4)), block_shape=(0, 4))
+    with pytest.raises(ValueError):
+        quantize_activation_groups(np.ones((2, 4)), group_size=0)
 
 
 def test_block_container_roundtrip(tmp_path):
@@ -210,3 +214,18 @@ def test_container_rejects_wrong_magic(tmp_path):
         load_block_matrix(path)
     with pytest.raises(ValueError):
         load_group_activation(path)
+    # truncated containers: cut inside the header, the scales and the codes
+    rng = np.random.default_rng(39)
+    good = tmp_path / "good"
+    save_block_matrix(good, quantize_weight_blocks(rng.standard_normal((8, 8)), block_shape=(4, 4)))
+    raw = good.read_bytes()  # 8 magic + 16 header + 16 scales + 16 clips + 64 codes
+    for cut in (12, 30, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="bad"):
+            load_block_matrix(path)
+    save_group_activation(good, quantize_activation_groups(rng.standard_normal((2, 8)), group_size=4))
+    raw = good.read_bytes()  # 8 magic + 12 header + 16 scales + 16 codes
+    for cut in (12, 30, len(raw) - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="bad"):
+            load_group_activation(path)

@@ -159,5 +159,3 @@ def test_params_validation():
         SSEParams(num_partitions=2, top_k=1, gate_weight=np.zeros((3, 2)), always_selected=5)
     with pytest.raises(ValueError):
         SSEParams(num_partitions=2, top_k=1, gate_weight=np.zeros((3, 2)), feature_map="relu")
-    with pytest.raises(ValueError):
-        SSEParams(num_partitions=2, top_k=1, gate_weight=np.zeros((3, 2)), decay="exp")

@@ -39,6 +39,14 @@ def test_bin_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_tensor_bin(path)
+    # truncated files: rank cut off, dims cut off, payload one value short
+    good = tmp_path / "good.bin"
+    save_tensor_bin(good, np.ones((3, 4)))
+    raw = good.read_bytes()
+    for cut in (10, 16, len(raw) - 4):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="bad.bin"):
+            load_tensor_bin(path)
 
 
 def test_json_rejects_shape_mismatch(tmp_path):
