@@ -30,10 +30,16 @@ import sys
 import numpy as np
 
 from . import costmodel, losses, quant, spike, stack, tensorio
-from .attention import full_attention, linear_attention_parallel, linear_attention_recurrent
+from .attention import (
+    full_attention,
+    linear_attention_parallel,
+    linear_attention_recurrent,
+    masked_attention,
+    window_keep,
+)
 from .moba import MobaParams, moba_forward, moba_selections
 from .sse import SSEParams, sse_forward
-from .tensor_ops import NEG_INF, NumericsError, ShapeError, causal_additive_mask, softmax_rows, window_additive_mask
+from .tensor_ops import NumericsError, ShapeError
 
 SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 1e-10
@@ -49,7 +55,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _emit_json(obj: dict, out_path: str | None) -> None:
     obj = {"schema_version": SCHEMA_VERSION, **obj}
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
+    # a NaN or infinity is not JSON: raise (exit 2) rather than write it
+    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", out_path)
 
 
 def positive_int(text: str) -> int:
@@ -58,6 +65,15 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def finite_non_negative_float(text: str) -> float:
+    """argparse type for tolerances and thresholds: NaN, infinities and
+    negative values are usage errors (exit 2)."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text!r}")
     return value
 
 
@@ -86,12 +102,12 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _swa_via_mask(q, k, v, window: int, fault: bool) -> np.ndarray:
-    # explicit mask route so the fault flag can flip one mask bit
+    # explicit mask route so the fault flag can flip one keep bit
     n = q.shape[0]
-    mask = causal_additive_mask(n) + window_additive_mask(n, window)
+    keep = window_keep(n, window)
     if fault and n >= 2:
-        mask[n - 1, 0] = NEG_INF
-    return softmax_rows(q @ k.T, additive_mask=mask) @ v
+        keep[n - 1, 0] = False
+    return masked_attention(q, k, v, keep)
 
 
 def cmd_attn_check(args) -> int:
@@ -358,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated sequence lengths")
     p.add_argument("--dims", type=positive_int_list, default="2,4", help="comma-separated head dims")
     p.add_argument("--trials", type=positive_int, default=5)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--tolerance", type=finite_non_negative_float, default=DEFAULT_TOLERANCE)
     p.add_argument("--inject-fault", action="store_true",
                    help="flip one mask bit in the window suite (negative control)")
     p.add_argument("--out", default=None)
@@ -396,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("layer-select", help="sensitivity-driven layer picking")
     p.add_argument("--profile", required=True, help="JSON file with baseline and scores")
-    p.add_argument("--threshold", type=float, required=True)
+    p.add_argument("--threshold", type=finite_non_negative_float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_layer_select)
 

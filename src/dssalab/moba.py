@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, softmax_rows
+from .attention import causal_keep, masked_attention
+from .tensor_ops import NEG_INF, ShapeError, as_f64, softmax_rows, top_k_mask
 
 
 @dataclass(frozen=True)
@@ -57,55 +58,47 @@ def block_pool_keys(k, block_size: int) -> np.ndarray:
     return pooled
 
 
-def moba_select(q_row, pooled, t: int, params: MobaParams) -> tuple[int, ...]:
-    """Blocks attended by the query at position t.
+def _check_qk(q, k) -> tuple[np.ndarray, np.ndarray]:
+    q, k = as_f64(q), as_f64(k)
+    if q.ndim != 2 or q.shape != k.shape:
+        raise ShapeError(f"queries {q.shape} and keys {k.shape} must be 2-D and of equal shape")
+    return q, k
 
-    Only blocks 0..t//block_size are visible; later ones are dropped before
+
+def moba_select(q, pooled, params: MobaParams) -> np.ndarray:
+    """Blocks attended by every query, as a bool (n, num_blocks) array.
+
+    Query t sees only blocks 0..t//block_size; later ones are masked before
     the gating softmax. The query's own block always occupies one slot; the
     remaining top_k - 1 slots go to the best-scoring other visible blocks,
-    ties toward the lower block index. Returned sorted ascending.
+    ties toward the lower block index.
     """
-    q_row = as_f64(q_row)
-    current = t // params.block_size
-    visible = current + 1
-    scores = softmax_rows(q_row @ pooled[:visible].T)
-    chosen = {current}
-    order = np.argsort(-scores, kind="stable")  # stable sort = lowest index wins ties
-    for b in order:
-        if len(chosen) >= params.top_k:
-            break
-        chosen.add(int(b))
-    return tuple(sorted(chosen))
+    q = as_f64(q)
+    current = np.arange(q.shape[0]) // params.block_size
+    visible = np.arange(pooled.shape[0]) <= current[:, None]
+    gates = softmax_rows(np.where(visible, q @ pooled.T, NEG_INF))
+    gates[np.arange(q.shape[0]), current] = np.inf  # own block ranks first
+    # masked blocks (gate 0) rank after every visible block, lower index
+    # first on ties, so they only take slots no visible block can fill
+    return top_k_mask(gates, params.top_k) & visible
 
 
 def moba_selections(q, k, params: MobaParams) -> list[BlockSelection]:
-    q, k = as_f64(q), as_f64(k)
-    pooled = block_pool_keys(k, params.block_size)
+    q, k = _check_qk(q, k)
+    selected = moba_select(q, block_pool_keys(k, params.block_size), params)
     return [
-        BlockSelection(query_index=t, blocks=moba_select(q[t], pooled, t, params))
-        for t in range(q.shape[0])
+        BlockSelection(query_index=t, blocks=tuple(np.flatnonzero(row).tolist()))
+        for t, row in enumerate(selected)
     ]
 
 
 def moba_forward(q, k, v, params: MobaParams) -> np.ndarray:
     """Exact softmax attention restricted to each query's selected blocks."""
-    q, k, v = as_f64(q), as_f64(k), as_f64(v)
-    if q.shape != k.shape or k.shape[0] != v.shape[0]:
-        raise ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    q, k = _check_qk(q, k)
     n = q.shape[0]
-    pooled = block_pool_keys(k, params.block_size)
-    out = np.empty((n, v.shape[1]))
-    for t in range(n):
-        blocks = moba_select(q[t], pooled, t, params)
-        mask = np.full(n, NEG_INF)
-        for b in blocks:
-            lo, hi = b * params.block_size, min((b + 1) * params.block_size, n)
-            mask[lo:hi] = 0.0
-        mask[t + 1 :] = NEG_INF  # causal cut inside the current block
-        weights = softmax_rows(q[t] @ k.T, additive_mask=mask)
-        out[t] = weights @ v
-    ensure_finite(out, "moba_forward")
-    return out
+    selected = moba_select(q, block_pool_keys(k, params.block_size), params)
+    keep = np.repeat(selected, params.block_size, axis=1)[:, :n] & causal_keep(n)
+    return masked_attention(q, k, v, keep)
 
 
 def activation_ratio(n: int, block_size: int, top_k: int) -> float:

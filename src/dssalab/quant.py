@@ -141,6 +141,8 @@ def quantize_weight_blocks(
     w = as_f64(w)
     if w.ndim != 2:
         raise ShapeError(f"weights must be 2-D, got shape {w.shape}")
+    if w.size == 0:
+        raise ValueError(f"weights have no elements, shape {w.shape}")
     ensure_finite(w, "quantize_weight_blocks")
     if len(grid) == 0:
         raise ValueError("clip grid is empty")

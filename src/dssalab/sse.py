@@ -10,11 +10,12 @@ gated winner, so the per-step update count may be k+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import ShapeError, as_f64, ensure_finite, l2_normalize_rows, silu, softmax_rows
+from .attention import linear_attention_recurrent
+from .tensor_ops import ShapeError, as_f64, l2_normalize_rows, silu, softmax_rows, top_k_mask
 
 FEATURE_MAPS = ("identity", "silu")
 
@@ -47,87 +48,53 @@ class SSEParams:
 
 
 @dataclass
-class SSEState:
-    """N state matrices of shape (d, d_v) plus per-partition selection counters."""
-
-    partitions: np.ndarray  # (N, d, d_v)
-    freq: np.ndarray  # (N,) int64
-
-    @classmethod
-    def zeros(cls, num_partitions: int, d: int, d_v: int) -> "SSEState":
-        return cls(
-            partitions=np.zeros((num_partitions, d, d_v)),
-            freq=np.zeros(num_partitions, dtype=np.int64),
-        )
-
-
-@dataclass
 class SSEResult:
     outputs: np.ndarray  # (n, d_v)
-    state: SSEState
     gates: np.ndarray  # (n, N) softmax gates e_t
     freqs: np.ndarray  # (n, N) running selection frequency after step t
-    selections: list = field(default_factory=list)  # per step: sorted tuple of indices
+    selected: np.ndarray  # (n, N) bool, partitions updated and read at step t
 
 
-def sse_gate(x_row, params: SSEParams) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Softmax gate over partitions and the selected index set.
+def sse_gate(x, params: SSEParams) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax gates over partitions and the selection, for every token row.
 
-    Ties break toward the lowest partition index. The always-selected
-    partition, if configured, is appended when the top-k missed it.
+    Returns gates (n, N) and a bool selection (n, N). Ties break toward the
+    lowest partition index. The always-selected partition, if configured,
+    is added on top of the top-k.
     """
-    x_row = as_f64(x_row)
-    if x_row.shape != (params.gate_weight.shape[0],):
-        raise ShapeError(f"token length {x_row.shape} != gate rows {params.gate_weight.shape[0]}")
-    gates = softmax_rows(x_row @ params.gate_weight)
-    order = np.argsort(-gates, kind="stable")  # stable sort = lowest index wins ties
-    chosen = set(order[: params.top_k].tolist())
+    x = as_f64(x)
+    if x.ndim != 2 or x.shape[1] != params.gate_weight.shape[0]:
+        raise ShapeError(f"token rows {x.shape} do not match gate rows {params.gate_weight.shape[0]}")
+    gates = softmax_rows(x @ params.gate_weight)
+    selected = top_k_mask(gates, params.top_k)
     if params.always_selected is not None:
-        chosen.add(params.always_selected)
-    return gates, tuple(sorted(chosen))
-
-
-def sse_step(state: SSEState, q_row, k_row, v_row, gates, selected) -> np.ndarray:
-    """One scan step: update selected partitions, then read the output.
-
-    Partitions outside `selected` are not touched at all.
-    """
-    q_row, k_row, v_row = as_f64(q_row), as_f64(k_row), as_f64(v_row)
-    update = np.outer(k_row, v_row)
-    out = np.zeros(v_row.shape[0])
-    for i in selected:
-        state.partitions[i] += gates[i] * update
-        state.freq[i] += 1
-        out += gates[i] * (q_row @ state.partitions[i])
-    return out
+        selected[:, params.always_selected] = True
+    return gates, selected
 
 
 def sse_forward(x, q, k, v, params: SSEParams) -> SSEResult:
-    """Deterministic scan over t = 1..n.
+    """Deterministic causal scan over t = 1..n.
 
     x drives the gate; q and k pass through the feature map and, when
-    enabled, row-wise L2 normalization before the scan.
+    enabled, row-wise L2 normalization. With a_t the gates of the selected
+    partitions (0 elsewhere), the scan is linear attention on the
+    gate-expanded rows a_t (x) q_t and a_t (x) k_t: block i of the state
+    holds partition i and only receives a_{s,i}-weighted updates.
     """
     x, q, k, v = as_f64(x), as_f64(q), as_f64(k), as_f64(v)
-    if q.shape != k.shape or q.shape[0] != v.shape[0] or x.shape[0] != q.shape[0]:
+    if q.ndim != 2 or q.shape != k.shape or q.shape[0] != v.shape[0] or x.shape[0] != q.shape[0]:
         raise ShapeError(f"x/q/k/v lengths disagree: {x.shape}, {q.shape}, {k.shape}, {v.shape}")
     if params.feature_map == "silu":
         q, k = silu(q), silu(k)
     if params.qk_l2_norm:
         q, k = l2_normalize_rows(q), l2_normalize_rows(k)
 
-    n = q.shape[0]
-    num = params.num_partitions
-    state = SSEState.zeros(num, q.shape[1], v.shape[1])
-    outputs = np.empty((n, v.shape[1]))
-    gate_hist = np.empty((n, num))
-    freq_hist = np.empty((n, num))
-    selections: list[tuple[int, ...]] = []
-    for t in range(n):
-        gates, selected = sse_gate(x[t], params)
-        outputs[t] = sse_step(state, q[t], k[t], v[t], gates, selected)
-        gate_hist[t] = gates
-        freq_hist[t] = state.freq / (t + 1)  # running selection frequency
-        selections.append(selected)
-    ensure_finite(outputs, "sse_forward")
-    return SSEResult(outputs=outputs, state=state, gates=gate_hist, freqs=freq_hist, selections=selections)
+    gates, selected = sse_gate(x, params)
+    a = np.where(selected, gates, 0.0)[:, :, None]
+    n, d = q.shape
+    expanded = (n, params.num_partitions * d)  # row t is a_t (x) q_t, partition-major
+    outputs = linear_attention_recurrent(
+        (a * q[:, None, :]).reshape(expanded), (a * k[:, None, :]).reshape(expanded), v
+    )
+    freqs = np.cumsum(selected, axis=0) / np.arange(1, n + 1)[:, None]
+    return SSEResult(outputs=outputs, gates=gates, freqs=freqs, selected=selected)

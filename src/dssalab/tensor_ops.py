@@ -32,56 +32,29 @@ def ensure_finite(x: np.ndarray, where: str) -> np.ndarray:
     return x
 
 
-def matmul(a, b) -> np.ndarray:
-    """Dense product a @ b with an explicit inner-dimension check."""
-    a = as_f64(a)
-    b = as_f64(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return ensure_finite(a @ b, "matmul")
-
-
-def softmax_rows(x, additive_mask=None) -> np.ndarray:
+def softmax_rows(x) -> np.ndarray:
     """Row-wise softmax with max-subtraction stabilization.
 
-    additive_mask, if given, is added to x before the exponential; excluded
-    positions carry -inf. A row with every position masked is an error.
+    Entries of -inf are excluded (weight 0). A row with every entry -inf is
+    an error.
     """
     x = as_f64(x)
-    if additive_mask is not None:
-        m = np.asarray(additive_mask, dtype=np.float64)
-        if m.shape != x.shape:
-            raise ShapeError(f"mask shape {m.shape} != input shape {x.shape}")
-        x = x + m
     if x.ndim == 1:
-        return softmax_rows(x[None, :], None)[0]
+        return softmax_rows(x[None, :])[0]
     row_max = np.max(x, axis=-1, keepdims=True)
     if np.any(np.isneginf(row_max)):
         raise NumericsError("softmax row with all positions masked")
-    with np.errstate(invalid="ignore"):
-        shifted = x - row_max
-    shifted[np.isneginf(x)] = NEG_INF  # -inf - (-inf) would be NaN
-    e = np.exp(shifted)
-    return ensure_finite(e / np.sum(e, axis=-1, keepdims=True), "softmax_rows")
+    e = x - row_max
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return ensure_finite(e, "softmax_rows")
 
 
-def causal_additive_mask(n: int) -> np.ndarray:
-    """n x n additive mask: 0 on and below the diagonal, -inf above."""
-    mask = np.zeros((n, n))
-    mask[np.triu_indices(n, k=1)] = NEG_INF
-    return mask
-
-
-def window_additive_mask(n: int, window: int) -> np.ndarray:
-    """Causal mask further restricted to the last `window` positions."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    mask = causal_additive_mask(n)
-    rows = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    mask[cols < rows - window + 1] = NEG_INF
+def top_k_mask(x, k: int) -> np.ndarray:
+    """Bool mask of the k largest entries in each row; ties go to the lower index."""
+    order = np.argsort(-as_f64(x), axis=-1, kind="stable")
+    mask = np.zeros(order.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
     return mask
 
 

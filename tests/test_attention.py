@@ -7,6 +7,7 @@ from dssalab.attention import (
     full_attention,
     linear_attention_parallel,
     linear_attention_recurrent,
+    masked_attention,
     swa,
 )
 from dssalab.tensor_ops import ShapeError
@@ -134,3 +135,5 @@ def test_attention_shape_validation():
         full_attention(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((3, 2)))
     with pytest.raises(ShapeError):
         linear_attention_parallel(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2)))
+    with pytest.raises(ShapeError):
+        masked_attention(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 4), dtype=bool))

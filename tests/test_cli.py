@@ -243,6 +243,14 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
     short_payload = tmp_path / "short_payload.bin"
     tensorio.save_tensor_bin(short_payload, np.ones((4, 4)))
     short_payload.write_bytes(short_payload.read_bytes()[:-4])
+    no_columns = tmp_path / "no_columns.json"
+    no_columns.write_text(json.dumps({"shape": [4, 0], "data": []}))
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps(make_dip_profile(seed=42)[0].to_json()))
+    q4x4, k3x2, k3x4 = (tmp_path / f"{name}.json" for name in ("q4x4", "k3x2", "k3x4"))
+    tensorio.save_tensor_json(str(q4x4), np.ones((4, 4)))
+    tensorio.save_tensor_json(str(k3x2), np.ones((3, 2)))
+    tensorio.save_tensor_json(str(k3x4), np.ones((3, 4)))
     cases = [
         ["quant-report", "--input", str(tmp_path / "missing.json")],
         ["loss-check", "--fixture", str(bad_fixture)],
@@ -267,6 +275,13 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["moba-trace", "--d", "0"],
         ["moba-trace", "--block-size", "0"],
         ["moba-trace", "--top-k", "0"],
+        ["moba-trace", "--queries", str(q4x4), "--keys", str(k3x2)],
+        ["moba-trace", "--queries", str(q4x4), "--keys", str(k3x4), "--block-size", "1"],
+        ["quant-report", "--input", str(no_columns)],
+        ["attn-check", "--tolerance", "nan"],
+        ["attn-check", "--tolerance", "-1e-10"],
+        ["layer-select", "--profile", str(profile_path), "--threshold", "nan"],
+        ["layer-select", "--profile", str(profile_path), "--threshold", "inf"],
     ]
     for argv in cases:
         assert exit_code(argv) == 2, argv

@@ -18,12 +18,11 @@ from dssalab.tensor_ops import NEG_INF, softmax_rows
 def masked_oracle(q, k, v, params):
     # materialize each query's selected-block mask, then run plain softmax
     n, d_v = q.shape[0], v.shape[1]
-    pooled = block_pool_keys(k, params.block_size)
+    selected = moba_select(q, block_pool_keys(k, params.block_size), params)
     out = np.zeros((n, d_v))
     for t in range(n):
-        blocks = moba_select(q[t], pooled, t, params)
         allow = np.zeros(n, dtype=bool)
-        for b in blocks:
+        for b in np.flatnonzero(selected[t]):
             allow[b * params.block_size : (b + 1) * params.block_size] = True
         allow[t + 1 :] = False
         logits = np.where(allow, q[t] @ k.T, NEG_INF)
@@ -54,12 +53,30 @@ def test_block_pool_partial_last_block():
     assert np.allclose(pooled[2], k[8:10].mean(axis=0), atol=1e-15)  # true-length mean
 
 
+def blocks_of(selected, t):
+    return tuple(np.flatnonzero(selected[t]).tolist())
+
+
+def sort_oracle(scores, current, k_sel):
+    # own block first, then the others by descending score, index breaking ties
+    ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    want = {current}
+    for idx in ranked:
+        if len(want) >= k_sel:
+            break
+        want.add(idx)
+    return tuple(sorted(want))
+
+
 def test_select_all_when_k_covers_visible_blocks():
     rng = np.random.default_rng(3)
     k = rng.standard_normal((12, 3))
     pooled = block_pool_keys(k, 4)
     p = MobaParams(block_size=4, top_k=5)
-    assert moba_select(rng.standard_normal(3), pooled, 11, p) == (0, 1, 2)
+    selected = moba_select(rng.standard_normal((12, 3)), pooled, p)
+    assert selected.shape == (12, 3) and selected.dtype == bool
+    for t in range(12):
+        assert blocks_of(selected, t) == tuple(range(t // 4 + 1))
 
 
 def test_first_block_query_selects_only_block_zero():
@@ -67,29 +84,25 @@ def test_first_block_query_selects_only_block_zero():
     k = rng.standard_normal((12, 3))
     pooled = block_pool_keys(k, 4)
     p = MobaParams(block_size=4, top_k=2)
+    selected = moba_select(rng.standard_normal((12, 3)), pooled, p)
     for t in range(4):
-        assert moba_select(rng.standard_normal(3), pooled, t, p) == (0,)
+        assert blocks_of(selected, t) == (0,)
 
 
 def test_select_matches_full_sort_oracle():
+    # top_k = 3 exceeds the visible block count at positions 0..7
     rng = np.random.default_rng(5)
-    n, b, k_sel = 24, 4, 2
+    n, b, k_sel = 24, 4, 3
     keys = rng.standard_normal((n, 3))
     pooled = block_pool_keys(keys, b)
     p = MobaParams(block_size=b, top_k=k_sel)
-    for _ in range(60):
-        q = rng.standard_normal(3)
-        t = int(rng.integers(0, n))
-        current = t // b
-        visible = current + 1
-        scores = softmax_rows(q @ pooled[:visible].T)
-        ranked = sorted(range(visible), key=lambda i: (-scores[i], i))
-        want = {current}
-        for idx in ranked:
-            if len(want) >= k_sel:
-                break
-            want.add(idx)
-        assert moba_select(q, pooled, t, p) == tuple(sorted(want))
+    for _ in range(5):
+        q = rng.standard_normal((n, 3))
+        selected = moba_select(q, pooled, p)
+        for t in range(n):
+            visible = t // b + 1
+            scores = softmax_rows(q[t] @ pooled[:visible].T)
+            assert blocks_of(selected, t) == sort_oracle(scores, t // b, k_sel)
 
 
 def test_select_ranking_ignores_softmax_vs_raw_scores():
@@ -98,25 +111,21 @@ def test_select_ranking_ignores_softmax_vs_raw_scores():
     keys = rng.standard_normal((32, 4))
     pooled = block_pool_keys(keys, 4)
     p = MobaParams(block_size=4, top_k=3)
-    for _ in range(40):
-        q = rng.standard_normal(4)
-        t = 31
-        raw = q @ pooled.T
-        ranked_raw = sorted(range(8), key=lambda i: (-raw[i], i))
-        want = {7}
-        for idx in ranked_raw:
-            if len(want) >= 3:
-                break
-            want.add(idx)
-        assert moba_select(q, pooled, t, p) == tuple(sorted(want))
+    for _ in range(5):
+        q = rng.standard_normal((32, 4))
+        selected = moba_select(q, pooled, p)
+        for t in range(32):
+            raw = q[t] @ pooled[: t // 4 + 1].T
+            assert blocks_of(selected, t) == sort_oracle(raw, t // 4, 3)
 
 
 def test_select_tie_break_lowest_block_index():
     # identical pooled rows give identical scores everywhere
     pooled = np.ones((4, 2))
     p = MobaParams(block_size=2, top_k=2)
-    got = moba_select(np.ones(2), pooled, 7, p)
-    assert got == (0, 3)  # current block 3 forced, tie among 0..2 -> 0
+    selected = moba_select(np.ones((8, 2)), pooled, p)
+    assert blocks_of(selected, 7) == (0, 3)  # current block 3 forced, tie among 0..2 -> 0
+    assert [blocks_of(selected, t) for t in range(6)] == [(0,), (0,), (0, 1), (0, 1), (0, 2), (0, 2)]
 
 
 def test_forward_equals_full_attention_when_selecting_all():

@@ -180,6 +180,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         quantize_weight_blocks(np.ones((4, 4)), block_shape=(0, 4))
     with pytest.raises(ValueError):
+        quantize_weight_blocks(np.ones((4, 0)))
+    with pytest.raises(ValueError):
         quantize_activation_groups(np.ones((2, 4)), group_size=0)
 
 

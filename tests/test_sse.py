@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dssalab.attention import linear_attention_recurrent
-from dssalab.sse import SSEParams, SSEState, sse_forward, sse_gate, sse_step
+from dssalab.sse import SSEParams, sse_forward, sse_gate
 from dssalab.tensor_ops import l2_normalize_rows, silu, softmax_rows
 
 
@@ -26,62 +26,68 @@ def topk_oracle(gates, k):
 def test_gate_is_softmax_and_topk_matches_sort_oracle():
     rng = np.random.default_rng(2)
     p = make_params(rng, 5, num_partitions=6, top_k=3)
-    for _ in range(50):
-        x = rng.standard_normal(5)
-        gates, selected = sse_gate(x, p)
-        assert abs(gates.sum() - 1.0) < 1e-12
-        assert np.max(np.abs(gates - softmax_rows(x @ p.gate_weight))) == 0.0
-        assert list(selected) == topk_oracle(gates, 3)
+    x = rng.standard_normal((50, 5))
+    gates, selected = sse_gate(x, p)
+    assert gates.shape == selected.shape == (50, 6) and selected.dtype == bool
+    assert np.max(np.abs(gates.sum(axis=1) - 1.0)) < 1e-12
+    assert np.max(np.abs(gates - softmax_rows(x @ p.gate_weight))) == 0.0
+    for t in range(50):
+        assert list(np.flatnonzero(selected[t])) == topk_oracle(gates[t], 3)
 
 
 def test_gate_tie_break_takes_lowest_index():
     # zero weights make every partition score identical
     p = SSEParams(num_partitions=4, top_k=2, gate_weight=np.zeros((3, 4)))
-    _, selected = sse_gate(np.ones(3), p)
-    assert selected == (0, 1)
+    _, selected = sse_gate(np.ones((2, 3)), p)
+    assert np.array_equal(selected, [[True, True, False, False]] * 2)
 
 
 def test_always_selected_is_appended_without_evicting():
     rng = np.random.default_rng(7)
     base = make_params(rng, 5, num_partitions=6, top_k=2)
-    for trial in range(40):
-        x = rng.standard_normal(5)
-        gates, plain = sse_gate(x, base)
-        pinned_idx = trial % 6
+    x = rng.standard_normal((40, 5))
+    _, plain = sse_gate(x, base)
+    for pinned_idx in range(6):
         pinned = SSEParams(
             num_partitions=6, top_k=2, gate_weight=base.gate_weight, always_selected=pinned_idx
         )
         _, got = sse_gate(x, pinned)
-        assert set(got) == set(plain) | {pinned_idx}
-        assert len(got) <= 3  # at most top_k + 1
-        assert set(plain) <= set(got)  # no winner evicted
+        want = plain.copy()
+        want[:, pinned_idx] = True  # added on top, no winner evicted
+        assert np.array_equal(got, want)
+        assert np.all(got.sum(axis=1) <= 3)  # at most top_k + 1
 
 
-def test_step_touches_only_selected_partitions():
+def test_forward_never_selected_partition_leaves_output_unchanged():
+    # a fifth partition whose gate underflows to exactly 0 is never selected;
+    # the other gates, the selection and the outputs stay those of four
     rng = np.random.default_rng(9)
-    d, d_v = 4, 3
-    state = SSEState.zeros(5, d, d_v)
-    state.partitions += rng.standard_normal(state.partitions.shape)
-    before = state.partitions.copy()
-    gates = softmax_rows(rng.standard_normal(5))
-    out = sse_step(state, rng.standard_normal(d), rng.standard_normal(d), rng.standard_normal(d_v), gates, (1, 3))
-    assert np.array_equal(state.partitions[0], before[0])  # bitwise untouched
-    assert np.array_equal(state.partitions[2], before[2])
-    assert np.array_equal(state.partitions[4], before[4])
-    assert not np.array_equal(state.partitions[1], before[1])
-    assert not np.array_equal(state.partitions[3], before[3])
-    assert np.array_equal(state.freq, [0, 1, 0, 1, 0])
-    assert out.shape == (d_v,)
+    n, d = 12, 4
+    x = np.abs(rng.standard_normal((n, d))) + 0.1
+    q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+    four = make_params(rng, d, num_partitions=4, top_k=2)
+    five = SSEParams(
+        num_partitions=5, top_k=2,
+        gate_weight=np.hstack([four.gate_weight, np.full((d, 1), -1e4)]),
+    )
+    got, want = sse_forward(x, q, k, v, five), sse_forward(x, q, k, v, four)
+    assert not got.selected[:, 4].any() and np.all(got.freqs[:, 4] == 0.0)
+    assert np.array_equal(got.gates[:, :4], want.gates)
+    assert np.array_equal(got.selected[:, :4], want.selected)
+    assert np.max(np.abs(got.outputs - want.outputs)) < 1e-14
 
 
-def test_step_update_then_read_order():
+def test_forward_token_reads_its_own_update():
     # the freshly updated state must be visible to the same step's read
-    state = SSEState.zeros(1, 1, 1)
-    q = np.array([2.0])
-    k = np.array([3.0])
-    v = np.array([5.0])
-    out = sse_step(state, q, k, v, np.array([1.0]), (0,))
-    assert out[0] == 2.0 * 3.0 * 5.0
+    one = SSEParams(num_partitions=1, top_k=1, gate_weight=np.zeros((1, 1)))
+    got = sse_forward(np.ones((1, 1)), [[2.0]], [[3.0]], [[5.0]], one)
+    assert got.outputs[0, 0] == 2.0 * 3.0 * 5.0
+    # with gates, token t reads its own update through a_t,i twice
+    two = SSEParams(num_partitions=2, top_k=1, gate_weight=np.array([[1.0, 0.0]]))
+    got = sse_forward(np.ones((1, 1)), [[2.0]], [[3.0]], [[5.0]], two)
+    g = got.gates[0, 0]
+    assert np.array_equal(got.selected, [[True, False]])
+    assert abs(got.outputs[0, 0] - g * g * 30.0) < 1e-13
 
 
 def test_single_partition_equals_linear_recurrent():
@@ -93,27 +99,40 @@ def test_single_partition_equals_linear_recurrent():
         assert np.array_equal(got.outputs, linear_attention_recurrent(q, k, v))
 
 
-def test_forward_matches_manual_scan_oracle():
-    rng = np.random.default_rng(13)
-    n, d, d_v, num, k_sel = 9, 3, 3, 4, 2
-    x = rng.standard_normal((n, d))
-    q, kk, v = (rng.standard_normal((n, d)) for _ in range(3))
-    p = make_params(np.random.default_rng(99), d, num_partitions=num, top_k=k_sel)
-    got = sse_forward(x, q, kk, v, p)
-    # scalar-loop re-simulation
-    states = np.zeros((num, d, d_v))
+def manual_scan(x, q, k, v, p):
+    # per-token scan over separate partition states: outputs, selections, freqs
+    if p.feature_map == "silu":
+        q, k = silu(q), silu(k)
+    if p.qk_l2_norm:
+        q, k = l2_normalize_rows(q), l2_normalize_rows(k)
+    n, num = q.shape[0], p.num_partitions
+    states = np.zeros((num, q.shape[1], v.shape[1]))
     freq = np.zeros(num)
+    outputs, selections, freqs = np.zeros((n, v.shape[1])), [], np.zeros((n, num))
     for t in range(n):
         gates = softmax_rows(x[t] @ p.gate_weight)
-        selected = topk_oracle(gates, k_sel)
-        out = np.zeros(d_v)
+        selected = sorted(set(topk_oracle(gates, p.top_k)) | ({p.always_selected} - {None}))
         for i in selected:
-            states[i] += gates[i] * np.outer(kk[t], v[t])
+            states[i] += gates[i] * np.outer(k[t], v[t])
             freq[i] += 1
-            out += gates[i] * (q[t] @ states[i])
-        assert list(got.selections[t]) == selected
-        assert np.max(np.abs(got.outputs[t] - out)) < 1e-12
-        assert np.max(np.abs(got.freqs[t] - freq / (t + 1))) < 1e-15
+            outputs[t] += gates[i] * (q[t] @ states[i])
+        selections.append(selected)
+        freqs[t] = freq / (t + 1)
+    return outputs, selections, freqs
+
+
+def test_forward_matches_manual_scan_oracle():
+    rng = np.random.default_rng(13)
+    n, d, num, k_sel = 41, 3, 4, 2
+    x = rng.standard_normal((n, d))
+    q, kk, v = (rng.standard_normal((n, d)) for _ in range(3))
+    for options in ({}, {"always_selected": 1}, {"feature_map": "silu"}, {"qk_l2_norm": True}):
+        p = make_params(np.random.default_rng(99), d, num_partitions=num, top_k=k_sel, **options)
+        got = sse_forward(x, q, kk, v, p)
+        outputs, selections, freqs = manual_scan(x, q, kk, v, p)
+        assert [list(np.flatnonzero(row)) for row in got.selected] == selections, options
+        assert np.max(np.abs(got.outputs - outputs)) < 1e-12, options
+        assert np.max(np.abs(got.freqs - freqs)) < 1e-15, options
 
 
 def test_running_freq_uses_after_update_convention():

@@ -3,18 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dssalab.attention import causal_keep, window_keep
 from dssalab.tensor_ops import (
     NEG_INF,
     NumericsError,
-    ShapeError,
-    causal_additive_mask,
     l2_normalize_rows,
-    matmul,
     rms_norm,
     sigmoid,
     silu,
     softmax_rows,
-    window_additive_mask,
 )
 
 
@@ -27,31 +24,6 @@ def softmax_oracle(x: np.ndarray) -> np.ndarray:
         e = np.exp(row)
         out[i] = (e / e.sum()).astype(np.float64)
     return out
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((5, 3))
-    b = rng.standard_normal((3, 4))
-    want = np.zeros((5, 4))
-    for i in range(5):
-        for j in range(4):
-            for k in range(3):
-                want[i, j] += a[i, k] * b[k, j]
-    assert np.max(np.abs(matmul(a, b) - want)) < 1e-12
-
-
-def test_matmul_shape_errors():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-def test_matmul_rejects_nonfinite():
-    a = np.array([[1.0, np.nan]])
-    with pytest.raises(NumericsError):
-        matmul(a, np.zeros((2, 2)))
 
 
 def test_softmax_matches_extended_precision_oracle():
@@ -72,7 +44,7 @@ def test_softmax_shift_invariance():
 def test_softmax_with_additive_mask_zeroes_masked_entries():
     x = np.array([[1.0, 2.0, 3.0]])
     mask = np.array([[0.0, NEG_INF, 0.0]])
-    got = softmax_rows(x, additive_mask=mask)
+    got = softmax_rows(x + mask)
     assert got[0, 1] == 0.0
     keep = softmax_oracle(np.array([[1.0, 3.0]]))
     assert np.max(np.abs(got[0, [0, 2]] - keep[0])) < 1e-14
@@ -86,33 +58,28 @@ def test_softmax_one_dimensional_input():
 
 def test_softmax_all_masked_row_raises():
     with pytest.raises(NumericsError):
-        softmax_rows(np.zeros((1, 3)), additive_mask=np.full((1, 3), NEG_INF))
-
-
-def test_softmax_mask_shape_mismatch():
-    with pytest.raises(ShapeError):
-        softmax_rows(np.zeros((2, 3)), additive_mask=np.zeros((3, 2)))
+        softmax_rows(np.zeros((1, 3)) + np.full((1, 3), NEG_INF))
 
 
 def test_causal_mask_explicit():
-    m = causal_additive_mask(3)
+    m = causal_keep(3)
     want = np.array([
-        [0.0, NEG_INF, NEG_INF],
-        [0.0, 0.0, NEG_INF],
-        [0.0, 0.0, 0.0],
+        [True, False, False],
+        [True, True, False],
+        [True, True, True],
     ])
-    assert np.array_equal(m, want)
+    assert m.dtype == bool and np.array_equal(m, want)
 
 
 def test_window_mask_explicit():
-    m = window_additive_mask(4, 2)
-    # row t keeps columns max(0, t-1)..t, as additive zeros
+    m = window_keep(4, 2)
+    # row t keeps columns max(0, t-1)..t
+    assert m.dtype == bool
     for t in range(4):
         for s in range(4):
-            visible = t - 1 <= s <= t
-            assert (m[t, s] == 0.0) == visible
+            assert m[t, s] == (t - 1 <= s <= t)
     with pytest.raises(ValueError):
-        window_additive_mask(4, 0)
+        window_keep(4, 0)
 
 
 def test_rms_norm_matches_scalar_oracle():
