@@ -14,11 +14,13 @@ Subcommands:
 * layer-select: run the sensitivity-profile layer picker.
 * loss-check: combined-loss breakdown for a fixture file or the built-in
   demo fixture.
-* moba-trace: per-query block selections for seeded random inputs.
+* moba-trace: per-query block selections for a query and a key tensor
+  file, or for seeded random inputs.
 
-All JSON output carries schema_version and sorted keys; identical
-arguments and seed give byte-identical bytes. Exit codes: 0 success,
-1 check failure, 2 usage or input error.
+All JSON output carries schema_version and sorted keys, and result
+records are written through dataclasses.asdict; identical arguments and
+seed give byte-identical bytes. JSON input is read by tensorio.read_json.
+Exit codes: 0 success, 1 check failure, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .attention import (
 )
 from .moba import MobaParams, moba_forward, moba_selections
 from .sse import SSEParams, sse_forward
-from .tensor_ops import NumericsError, ShapeError
+from .tensor_ops import ShapeError
 
 SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 1e-10
@@ -205,7 +208,7 @@ def cmd_spike_report(args) -> int:
             "shape": list(x.shape),
             "group_size": args.group_size,
             "firing_rate": spike.firing_rate(train),
-            **report.to_json(),
+            **asdict(report),
         },
         args.out,
     )
@@ -215,11 +218,12 @@ def cmd_spike_report(args) -> int:
 # ------------------------------------------------------------- scaling-table
 
 
+def _plan(obj: dict) -> stack.LayerPlan:
+    return stack.LayerPlan(kinds=tuple(tensorio.json_list(obj, "kinds")))
+
+
 def _load_plan(path: str | None) -> stack.LayerPlan:
-    if path is None:
-        return stack.default_plan()
-    with open(path) as fh:
-        return stack.LayerPlan.loads(fh.read())
+    return stack.default_plan() if path is None else tensorio.read_json(path, _plan)
 
 
 def cmd_scaling_table(args) -> int:
@@ -262,9 +266,13 @@ def cmd_plan_show(args) -> int:
 # -------------------------------------------------------------- layer-select
 
 
+def _profile(obj: dict) -> stack.SensitivityProfile:
+    scores = tuple(float(s) for s in tensorio.json_list(obj, "scores"))
+    return stack.SensitivityProfile(baseline=float(obj["baseline"]), scores=scores)
+
+
 def cmd_layer_select(args) -> int:
-    with open(args.profile) as fh:
-        profile = stack.SensitivityProfile.from_json(json.load(fh))
+    profile = tensorio.read_json(args.profile, _profile)
     selected = stack.select_moba_layers(profile, args.threshold)
     _emit_json(
         {
@@ -281,6 +289,24 @@ def cmd_layer_select(args) -> int:
 # ---------------------------------------------------------------- loss-check
 
 
+# mode -> (objective, required parts, optional coefficients); a coefficient
+# the fixture leaves out takes the objective's default
+LOSS_MODES = {
+    "llm": (losses.combined_loss_llm, ("ce", "aux", "kd", "mse"), ("c", "alpha", "beta")),
+    "vlm": (losses.combined_loss_vlm, ("kd", "mse"), ("alpha", "beta")),
+}
+
+
+def _loss_fixture(obj: dict) -> tuple[str, dict[str, float]]:
+    """(mode, keyword arguments of the mode's objective) from a fixture."""
+    mode = obj.get("mode", "llm")
+    if mode not in LOSS_MODES:
+        raise ValueError(f"unknown loss mode {mode!r}")
+    _, parts, coeffs = LOSS_MODES[mode]
+    given = parts + tuple(name for name in coeffs if name in obj)
+    return mode, {name: float(obj[name]) for name in given}
+
+
 def _demo_loss_fixture(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     n, num_partitions, top_k, vocab = 8, 4, 2, 16
@@ -293,45 +319,16 @@ def _demo_loss_fixture(seed: int) -> dict:
     reps_t = [rng.standard_normal((n, 4)) for _ in range(2)]
     reps_s = [r + 0.05 for r in reps_t]
     mse = losses.layerwise_mse(reps_s, reps_t)
-    return {
-        "mode": "llm",
-        "ce": 2.0,
-        "aux": aux.per_token,
-        "kd": kd.value,
-        "mse": mse,
-        "c": losses.LLM_AUX_COEFF,
-        "alpha": losses.LLM_KD_COEFF,
-        "beta": losses.LLM_MSE_COEFF,
-    }
+    return {"mode": "llm", "ce": 2.0, "aux": aux.per_token, "kd": kd.value, "mse": mse}
 
 
 def cmd_loss_check(args) -> int:
     if args.fixture:
-        with open(args.fixture) as fh:
-            fixture = json.load(fh)
+        mode, parts = tensorio.read_json(args.fixture, _loss_fixture)
     else:
-        fixture = _demo_loss_fixture(args.seed)
-    mode = fixture.get("mode", "llm")
-    if mode == "llm":
-        breakdown = losses.combined_loss_llm(
-            ce=float(fixture["ce"]),
-            aux=float(fixture["aux"]),
-            kd=float(fixture["kd"]),
-            mse=float(fixture["mse"]),
-            c=float(fixture.get("c", losses.LLM_AUX_COEFF)),
-            alpha=float(fixture.get("alpha", losses.LLM_KD_COEFF)),
-            beta=float(fixture.get("beta", losses.LLM_MSE_COEFF)),
-        )
-    elif mode == "vlm":
-        breakdown = losses.combined_loss_vlm(
-            kd=float(fixture["kd"]),
-            mse=float(fixture["mse"]),
-            alpha=float(fixture.get("alpha", losses.VLM_KD_COEFF)),
-            beta=float(fixture.get("beta", losses.VLM_MSE_COEFF)),
-        )
-    else:
-        raise ValueError(f"unknown loss mode {mode!r}")
-    _emit_json({"command": "loss-check", "mode": mode, **breakdown.to_json()}, args.out)
+        mode, parts = _loss_fixture(_demo_loss_fixture(args.seed))
+    breakdown = LOSS_MODES[mode][0](**parts)
+    _emit_json({"command": "loss-check", "mode": mode, **asdict(breakdown)}, args.out)
     return 0
 
 
@@ -340,7 +337,9 @@ def cmd_loss_check(args) -> int:
 
 def cmd_moba_trace(args) -> int:
     params = MobaParams(block_size=args.block_size, top_k=args.top_k)
-    if args.queries and args.keys:
+    if bool(args.queries) != bool(args.keys):
+        raise ValueError(f"--queries and --keys go together; got only {args.queries or args.keys}")
+    if args.queries:
         q = tensorio.load_tensor(args.queries)
         k = tensorio.load_tensor(args.keys)
     else:
@@ -354,7 +353,7 @@ def cmd_moba_trace(args) -> int:
             "n": q.shape[0],
             "block_size": args.block_size,
             "top_k": args.top_k,
-            "selections": [s.to_json() for s in selections],
+            "selections": [asdict(s) for s in selections],
         },
         args.out,
     )
@@ -441,7 +440,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ShapeError, NumericsError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # ShapeError and NumericsError are ValueErrors
         print(f"dssalab: error: {exc}", file=sys.stderr)
         return 2
 

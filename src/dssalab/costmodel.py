@@ -41,14 +41,11 @@ class CostParams:
     swa_window: int = 128
     moba_block_size: int = 4096
     moba_top_k: int = 12
-    decode_overhead_flops: float = 0.0  # per layer per generated token
 
     def __post_init__(self):
         if min(self.d_model, self.bytes_per_value, self.sse_partitions, self.sse_top_k,
                self.sse_value_dim, self.swa_window, self.moba_block_size, self.moba_top_k) < 1:
             raise ValueError("all cost parameters must be >= 1")
-        if self.decode_overhead_flops < 0:
-            raise ValueError("decode overhead cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -87,79 +84,60 @@ class CostReport:
     def total_bytes(self) -> float:
         return self.kv_bytes + self.state_bytes
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "prefill_flops": self.prefill_flops,
-            "decode_flops": self.decode_flops,
-            "kv_bytes": self.kv_bytes,
-            "state_bytes": self.state_bytes,
-            "layers": [
-                {
-                    "kind": layer.kind,
-                    "prefill_flops": layer.prefill_flops,
-                    "decode_flops": layer.decode_flops,
-                    "kv_bytes": layer.kv_bytes,
-                    "state_bytes": layer.state_bytes,
-                }
-                for layer in self.layers
-            ],
-        }
-
 
 def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
 
 
-def cost_fa(n: int, d: int, bytes_per_value: int = 2, layers: int = 1) -> LayerCost:
+def cost_fa(n: int, d: int, bytes_per_value: int = 2) -> LayerCost:
     _check_n(n)
     mac = FLOPS_PER_MAC
     return LayerCost(
         kind="fa",
-        prefill_flops=layers * 2 * mac * n * n * d,
-        decode_flops=layers * 2 * mac * n * d,
-        kv_bytes=layers * 2 * n * d * bytes_per_value,
+        prefill_flops=2 * mac * n * n * d,
+        decode_flops=2 * mac * n * d,
+        kv_bytes=2 * n * d * bytes_per_value,
         state_bytes=0.0,
     )
 
 
-def cost_moba(n: int, d: int, b: int, k: int, bytes_per_value: int = 2, layers: int = 1) -> LayerCost:
+def cost_moba(n: int, d: int, b: int, k: int, bytes_per_value: int = 2) -> LayerCost:
     _check_n(n)
     mac = FLOPS_PER_MAC
     attended = min(k * b, n)
     return LayerCost(
         kind="moba",
-        prefill_flops=layers * (mac * n * (n / b) * d + 2 * mac * n * attended * d),
-        decode_flops=layers * (mac * (n / b) * d + 2 * mac * attended * d),
-        kv_bytes=layers * 2 * n * d * bytes_per_value,
+        prefill_flops=mac * n * (n / b) * d + 2 * mac * n * attended * d,
+        decode_flops=mac * (n / b) * d + 2 * mac * attended * d,
+        kv_bytes=2 * n * d * bytes_per_value,
         state_bytes=0.0,
     )
 
 
 def cost_sse(n: int, d: int, num_partitions: int, k: int, d_v: int,
-             bytes_per_value: int = 2, layers: int = 1) -> LayerCost:
+             bytes_per_value: int = 2) -> LayerCost:
     _check_n(n)
     mac = FLOPS_PER_MAC
     per_token = 2 * mac * d * d_v * (k + 1)  # rank-1 update + read over k+1 partitions
     return LayerCost(
         kind="sse",
-        prefill_flops=layers * n * per_token,
-        decode_flops=layers * per_token,
+        prefill_flops=n * per_token,
+        decode_flops=per_token,
         kv_bytes=0.0,
-        state_bytes=layers * num_partitions * d * d_v * bytes_per_value,
+        state_bytes=num_partitions * d * d_v * bytes_per_value,
     )
 
 
-def cost_swa(n: int, d: int, w: int, bytes_per_value: int = 2, layers: int = 1) -> LayerCost:
+def cost_swa(n: int, d: int, w: int, bytes_per_value: int = 2) -> LayerCost:
     _check_n(n)
     mac = FLOPS_PER_MAC
     span = min(w, n)
     return LayerCost(
         kind="swa",
-        prefill_flops=layers * 2 * mac * n * span * d,
-        decode_flops=layers * 2 * mac * span * d,
-        kv_bytes=layers * 2 * span * d * bytes_per_value,
+        prefill_flops=2 * mac * n * span * d,
+        decode_flops=2 * mac * span * d,
+        kv_bytes=2 * span * d * bytes_per_value,
         state_bytes=0.0,
     )
 
@@ -177,20 +155,16 @@ def _merge(kind: str, a: LayerCost, b: LayerCost) -> LayerCost:
 def layer_cost(kind: str, n: int, p: CostParams) -> LayerCost:
     d, by = p.d_model, p.bytes_per_value
     if kind == "fa":
-        entry = cost_fa(n, d, by)
-    elif kind == "moba":
-        entry = cost_moba(n, d, p.moba_block_size, p.moba_top_k, by)
-    elif kind == "sse_swa":
-        entry = _merge(
+        return cost_fa(n, d, by)
+    if kind == "moba":
+        return cost_moba(n, d, p.moba_block_size, p.moba_top_k, by)
+    if kind == "sse_swa":
+        return _merge(
             "sse_swa",
             cost_sse(n, d, p.sse_partitions, p.sse_top_k, p.sse_value_dim, by),
             cost_swa(n, d, p.swa_window, by),
         )
-    else:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    if p.decode_overhead_flops:
-        entry = replace(entry, decode_flops=entry.decode_flops + p.decode_overhead_flops)
-    return entry
+    raise ValueError(f"unknown layer kind {kind!r}")
 
 
 def plan_cost(plan: LayerPlan, n: int, p: CostParams) -> CostReport:

@@ -40,18 +40,6 @@ class LossBreakdown:
     beta: float
     combined: float
 
-    def to_json(self) -> dict:
-        return {
-            "ce": self.ce,
-            "aux": self.aux,
-            "kd": self.kd,
-            "mse": self.mse,
-            "c": self.c,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "combined": self.combined,
-        }
-
 
 @dataclass
 class AuxLossResult:

@@ -36,9 +36,6 @@ class BlockSelection:
     query_index: int
     blocks: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"query_index": self.query_index, "blocks": list(self.blocks)}
-
 
 def num_blocks(n: int, block_size: int) -> int:
     return (n + block_size - 1) // block_size

@@ -12,7 +12,7 @@ the dense multiply-accumulate work the sparsity skips.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class OpCountReport:
     @property
     def plane_slots(self) -> int:
         return NUM_PLANES * self.dense_mac_equivalent
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def spike_encode(qa: QuantizedGroupActivation) -> SpikeTrain:

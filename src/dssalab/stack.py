@@ -16,7 +16,6 @@ driven procedure that picks which layers to run as ``moba``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from statistics import median
 
@@ -53,28 +52,12 @@ class LayerPlan:
     def layers_of(self, kind: str) -> tuple[int, ...]:
         return tuple(i for i, item in enumerate(self.kinds) if item == kind)
 
-    def to_json(self) -> dict:
-        return {"kinds": list(self.kinds)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "LayerPlan":
-        return cls(kinds=tuple(obj["kinds"]))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "LayerPlan":
-        return cls.from_json(json.loads(text))
-
-
-def default_plan(num_layers: int = DEFAULT_NUM_LAYERS) -> LayerPlan:
-    """Default hybrid plan: block-sparse layers concentrated in the lower
-    half plus one mid/deep stripe, one full-attention layer at the top,
-    window-merged linear attention everywhere else."""
-    if num_layers != DEFAULT_NUM_LAYERS:
-        raise ValueError(f"default plan is defined for {DEFAULT_NUM_LAYERS} layers")
-    kinds = ["sse_swa"] * num_layers
+def default_plan() -> LayerPlan:
+    """Default 36-layer hybrid plan: block-sparse layers concentrated in the
+    lower half plus one mid/deep stripe, one full-attention layer at the
+    top, window-merged linear attention everywhere else."""
+    kinds = ["sse_swa"] * DEFAULT_NUM_LAYERS
     for i in DEFAULT_MOBA_LAYERS:
         kinds[i] = "moba"
     for i in DEFAULT_FA_LAYERS:
@@ -92,8 +75,6 @@ class StackConfig:
     sse_partitions: int = 4
     sse_top_k: int = 2
     sse_feature_map: str = "silu"
-    sse_qk_l2_norm: bool = False
-    sse_always_selected: int | None = None
     moba_block_size: int = 4096
     moba_top_k: int = 12
     swa_window: int = 128
@@ -192,11 +173,10 @@ def _multihead(normed: np.ndarray, lw: dict, prefix: str, config: StackConfig,
 
 @dataclass
 class StackTrace:
-    """Forward pass record: final hidden plus per-layer snapshots."""
+    """Forward pass record: final hidden plus the merge gate of each
+    sse_swa layer."""
 
     hidden: np.ndarray
-    layer_attn: list[np.ndarray] = field(default_factory=list)
-    layer_hidden: list[np.ndarray] = field(default_factory=list)
     merge_gates: list[float] = field(default_factory=list)
 
 
@@ -207,9 +187,7 @@ def _attend(kind: str, normed: np.ndarray, lw: dict, config: StackConfig,
             num_partitions=config.sse_partitions,
             top_k=config.sse_top_k,
             gate_weight=lw["sse_gate"],
-            always_selected=config.sse_always_selected,
             feature_map=config.sse_feature_map,
-            qk_l2_norm=config.sse_qk_l2_norm,
         )
         sse_out = _multihead(
             normed, lw, "sse", config,
@@ -242,8 +220,6 @@ def stack_forward(x, params: list[LayerParams], config: StackConfig,
         hidden = hidden + attn
         normed = rms_norm(hidden, lw["norm_mlp"])
         hidden = hidden + (silu(normed @ lw["mlp_w1"]) * (normed @ lw["mlp_w3"])) @ lw["mlp_w2"]
-        trace.layer_attn.append(attn)
-        trace.layer_hidden.append(hidden)
         if layer.kind == "sse_swa":
             trace.merge_gates.append(gate)
     ensure_finite(hidden, "stack_forward")
@@ -258,13 +234,6 @@ class SensitivityProfile:
 
     baseline: float
     scores: tuple[float, ...]
-
-    def to_json(self) -> dict:
-        return {"baseline": self.baseline, "scores": list(self.scores)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SensitivityProfile":
-        return cls(baseline=float(obj["baseline"]), scores=tuple(float(s) for s in obj["scores"]))
 
 
 def select_moba_layers(profile: SensitivityProfile, drop_threshold: float) -> list[int]:

@@ -1,7 +1,8 @@
-"""Tensor file formats for fixtures.
+"""Tensor file formats for fixtures, and the one reader of JSON input.
 
 JSON (small fixtures):
-    {"shape": [...], "data": [...]}   with data flattened row-major.
+    {"shape": [...], "data": [...]}   with data flattened row-major
+    (nested lists of the same size also load).
 
 Binary (larger fixtures):
     8-byte magic b"TNSRF32\\0", u32 rank, u32 dims[rank], then the payload
@@ -28,13 +29,54 @@ def save_tensor_json(path, x) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
-def load_tensor_json(path) -> np.ndarray:
-    payload = json.loads(Path(path).read_text())
-    shape = payload["shape"]
-    data = np.asarray(payload["data"], dtype=np.float64)
-    if int(np.prod(shape)) != data.size:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def read_json(path, build):
+    """Parse the JSON object in the file at path and return build(obj).
+
+    The one reader of JSON input; build only converts the parsed object.
+    A structure build cannot take (a missing key, null where a number
+    belongs, a scalar where a list belongs), text that is not JSON, a top
+    level that is not an object, and NaN or infinite numbers all raise
+    ValueError naming the file.
+    """
+    text = Path(path).read_text()
+    try:
+        obj = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+        if not isinstance(obj, dict):
+            raise TypeError(f"top level is a {type(obj).__name__}, not an object")
+        return build(obj)
+    except KeyError as exc:
+        raise ValueError(f"malformed JSON file {path}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed JSON file {path}: {exc}") from None
+
+
+def json_list(obj: dict, key: str) -> list:
+    """obj[key], which must be a JSON list; for the builders of read_json."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def _tensor(obj: dict) -> np.ndarray:
+    shape = json_list(obj, "shape")
+    if not all(type(dim) is int and dim >= 0 for dim in shape):
+        raise TypeError(f"shape must hold non-negative integers, got {shape}")
+    data = np.asarray(obj["data"], dtype=np.float64)
+    if math.prod(shape) != data.size:
         raise ValueError(f"shape {shape} does not match {data.size} values")
-    return ensure_finite(data.reshape(shape), f"tensor file {path}")
+    return data.reshape(shape)
+
+
+def load_tensor_json(path) -> np.ndarray:
+    return ensure_finite(read_json(path, _tensor), f"tensor file {path}")
 
 
 def save_tensor_bin(path, x) -> None:

@@ -12,6 +12,7 @@ import contextlib
 import io
 import json
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -367,7 +368,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     tensorio.save_tensor_json(str(tensor_path), rng.normal(0.0, 1.0, size=(16, 16)))
     profile, _ = make_dip_profile(seed=42)
     profile_path = tmp_path / "profile.json"
-    profile_path.write_text(json.dumps(profile.to_json()))
+    profile_path.write_text(json.dumps(asdict(profile)))
 
     commands = [
         ["attn-check", "--sizes", "1,4", "--dims", "2", "--trials", "2", "--seed", "3"],

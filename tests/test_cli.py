@@ -10,13 +10,16 @@ import contextlib
 import io
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from conftest import make_dip_profile
 
-from dssalab import quant, tensorio
+from dssalab import cli, quant, tensorio
 from dssalab.cli import main, parse_length
+from dssalab.losses import combined_loss_llm
+from dssalab.stack import LayerPlan, default_plan
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -135,20 +138,35 @@ def test_plan_show_counts_line():
 
 
 def test_plan_show_custom_plan(tmp_path):
-    from dssalab.stack import LayerPlan
-
     path = tmp_path / "plan.json"
-    path.write_text(LayerPlan(kinds=("fa", "moba", "sse_swa")).dumps())
+    path.write_text(json.dumps({"kinds": ["fa", "moba", "sse_swa"]}))
     code, out = run_cli(["plan-show", "--plan", str(path)])
     assert code == 0
     assert "layers: 3" in out
     assert "counts: sse_swa=1 moba=1 fa=1" in out
 
 
+def test_plan_json_roundtrip(tmp_path):
+    # the default plan written as {"kinds": [...]} reads back as the same
+    # plan: plan-show lists every layer's kind in order
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(asdict(default_plan())))
+    assert run_cli(["plan-show", "--plan", str(path)]) == run_cli(["plan-show"])
+    with pytest.raises(ValueError):
+        LayerPlan(kinds=("fa", "bogus"))
+
+
+def test_profile_json_roundtrip(tmp_path):
+    profile, _ = make_dip_profile(seed=1)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(asdict(profile)))
+    assert tensorio.read_json(path, cli._profile) == profile
+
+
 def test_layer_select_dip_fixture(tmp_path):
     profile, planted = make_dip_profile(seed=42)
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps(profile.to_json()))
+    path.write_text(json.dumps(asdict(profile)))
     code, out = run_cli(["layer-select", "--profile", str(path), "--threshold", "5.0"])
     assert code == 0
     blob = json.loads(out)
@@ -174,6 +192,18 @@ def test_loss_check_demo_and_fixtures(tmp_path):
     code, out = run_cli(["loss-check", "--fixture", str(vlm)])
     assert code == 0
     assert json.loads(out)["combined"] == 5.0
+
+
+def test_breakdown_json_shape(tmp_path):
+    parts = {"ce": 1.0, "aux": 1.0, "kd": 1.0, "mse": 1.0}
+    path = tmp_path / "llm.json"
+    path.write_text(json.dumps(parts))
+    code, out = run_cli(["loss-check", "--fixture", str(path)])
+    assert code == 0
+    blob = json.loads(out)
+    assert set(blob) == {"schema_version", "command", "mode",
+                         "ce", "aux", "kd", "mse", "c", "alpha", "beta", "combined"}
+    assert blob["combined"] == combined_loss_llm(**parts).combined
 
 
 def test_moba_trace_structure():
@@ -205,7 +235,7 @@ def test_out_flag_writes_file_with_same_bytes(tmp_path):
 def test_every_subcommand_is_deterministic(tmp_path, tensor_file):
     profile, _ = make_dip_profile(seed=42)
     profile_path = tmp_path / "profile.json"
-    profile_path.write_text(json.dumps(profile.to_json()))
+    profile_path.write_text(json.dumps(asdict(profile)))
     commands = [
         ["attn-check", "--sizes", "1,4", "--dims", "2", "--trials", "2", "--seed", "3"],
         ["quant-report", "--input", tensor_file, "--block-size", "8"],
@@ -246,7 +276,15 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
     no_columns = tmp_path / "no_columns.json"
     no_columns.write_text(json.dumps({"shape": [4, 0], "data": []}))
     profile_path = tmp_path / "profile.json"
-    profile_path.write_text(json.dumps(make_dip_profile(seed=42)[0].to_json()))
+    profile_path.write_text(json.dumps(asdict(make_dip_profile(seed=42)[0])))
+
+    def write(name: str, text: str) -> str:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        return str(path)
+
+    plan_scalar = write("plan_scalar", '{"kinds": "fa"}')
+    plan_list = write("plan_list", '["fa", "moba"]')
     q4x4, k3x2, k3x4 = (tmp_path / f"{name}.json" for name in ("q4x4", "k3x2", "k3x4"))
     tensorio.save_tensor_json(str(q4x4), np.ones((4, 4)))
     tensorio.save_tensor_json(str(k3x2), np.ones((3, 2)))
@@ -283,10 +321,36 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["layer-select", "--profile", str(profile_path), "--threshold", "nan"],
         ["layer-select", "--profile", str(profile_path), "--threshold", "inf"],
     ]
-    for argv in cases:
+    # malformed JSON documents and a lone query or key file: the error line
+    # must also name the file
+    files = [
+        ["moba-trace", "--queries", str(q4x4)],
+        ["moba-trace", "--keys", str(k3x4)],
+        ["loss-check", "--fixture",
+         write("loss_null", '{"mode": "llm", "ce": null, "aux": 1.0, "kd": 1.0, "mse": 1.0}')],
+        ["loss-check", "--fixture", write("loss_list", "[1.0, 2.0]")],
+        ["loss-check", "--fixture", write("loss_missing", '{"mode": "vlm", "kd": 1.0}')],
+        ["loss-check", "--fixture",
+         write("loss_huge_int", '{"ce": 1' + "0" * 400 + ', "aux": 1.0, "kd": 1.0, "mse": 1.0}')],
+        ["layer-select", "--profile", write("profile_scalar", '{"baseline": 60.0, "scores": "123"}'),
+         "--threshold", "1.0"],
+        ["layer-select", "--profile", write("profile_list", '[{"baseline": 60.0, "scores": [1.0]}]'),
+         "--threshold", "1.0"],
+        ["layer-select", "--profile", write("profile_nan", '{"baseline": 60.0, "scores": [1.0, NaN]}'),
+         "--threshold", "1.0"],
+        ["plan-show", "--plan", plan_scalar],
+        ["plan-show", "--plan", plan_list],
+        ["scaling-table", "--plan", plan_scalar],
+        ["scaling-table", "--plan", plan_list],
+        ["quant-report", "--input", write("shape_text", '{"shape": "ab", "data": [1.0, 2.0]}')],
+        ["quant-report", "--input", write("shape_fraction", '{"shape": [2, 2.5], "data": [1.0]}')],
+        ["spike-report", "--input", write("tensor_list", "[1, 2]")],
+    ]
+    for argv in cases + files:
         assert exit_code(argv) == 2, argv
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err, argv
+        assert argv not in files or argv[2] in err, argv
 
 
 def test_argparse_rejects_unknown_subcommand():

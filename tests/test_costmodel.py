@@ -99,15 +99,6 @@ def test_layer_cost_dispatch_and_merge():
         layer_cost("mystery", 256, p)
 
 
-def test_decode_overhead_is_added_per_layer():
-    p = CostParams(d_model=64, decode_overhead_flops=100.0)
-    for kind in ("fa", "moba", "sse_swa"):
-        base = layer_cost(kind, 1024, CostParams(d_model=64))
-        with_oh = layer_cost(kind, 1024, p)
-        assert with_oh.decode_flops == base.decode_flops + 100.0
-        assert with_oh.prefill_flops == base.prefill_flops
-
-
 def test_report_totals_are_sums_of_layers():
     p = CostParams(d_model=128)
     report = plan_cost(default_plan(), 4096, p)
@@ -118,9 +109,7 @@ def test_report_totals_are_sums_of_layers():
     assert report.kv_bytes == sum(l.kv_bytes for l in report.layers)
     assert report.state_bytes == sum(l.state_bytes for l in report.layers)
     assert report.total_bytes == report.kv_bytes + report.state_bytes
-    blob = report.to_json()
-    assert blob["n"] == 4096
-    assert len(blob["layers"]) == 36
+    assert report.n == 4096
 
 
 def test_moba_never_cheaper_than_needed_vs_fa_when_dense():
@@ -202,8 +191,6 @@ def test_params_validation():
         CostParams(d_model=0)
     with pytest.raises(ValueError):
         CostParams(moba_top_k=0)
-    with pytest.raises(ValueError):
-        CostParams(decode_overhead_flops=-1.0)
     with pytest.raises(ValueError):
         cost_fa(0, 64)
 

@@ -249,10 +249,3 @@ def test_combined_vlm():
     assert res.combined == pytest.approx(7.0, abs=1e-15)
     with pytest.raises(NumericsError):
         combined_loss_vlm(kd=np.inf, mse=0.0)
-
-
-def test_breakdown_json_shape():
-    res = combined_loss_llm(ce=1.0, aux=1.0, kd=1.0, mse=1.0)
-    blob = res.to_json()
-    assert set(blob) == {"ce", "aux", "kd", "mse", "c", "alpha", "beta", "combined"}
-    assert blob["combined"] == res.combined

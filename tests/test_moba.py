@@ -183,10 +183,13 @@ def test_selections_are_deterministic():
     rng = np.random.default_rng(12)
     q, k = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
     p = MobaParams(block_size=3, top_k=2)
-    first = [s.to_json() for s in moba_selections(q, k, p)]
-    second = [s.to_json() for s in moba_selections(q, k, p)]
-    assert first == second
-    assert first[0]["query_index"] == 0
+    pooled = block_pool_keys(k, p.block_size)
+    first = moba_select(q, pooled, p)
+    assert np.array_equal(first, moba_select(q, pooled, p))
+    selections = moba_selections(q, k, p)
+    assert [s.query_index for s in selections] == list(range(10))
+    assert [s.blocks for s in selections] == [tuple(np.flatnonzero(row)) for row in first]
+    assert selections[0].blocks == (0,)
 
 
 def test_activation_ratio_values():

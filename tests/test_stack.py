@@ -30,14 +30,6 @@ def test_default_plan_counts_and_positions():
     assert plan.layers_of("fa") == DEFAULT_FA_LAYERS
 
 
-def test_plan_json_roundtrip():
-    plan = default_plan()
-    again = LayerPlan.loads(plan.dumps())
-    assert again == plan
-    with pytest.raises(ValueError):
-        LayerPlan(kinds=("fa", "bogus"))
-
-
 def test_all_fa_stack_matches_composed_reference():
     rng = np.random.default_rng(20)
     config = StackConfig(d_model=8, n_heads=2, d_ff=12)
@@ -76,7 +68,6 @@ def test_zeroed_attention_layer_passes_input_through():
     x = rng.standard_normal((5, 6))
     trace = stack_forward(x, params, config)
     assert np.array_equal(trace.hidden, x)
-    assert np.array_equal(trace.layer_attn[0], np.zeros_like(x))
 
 
 def test_stack_forward_causality_mutation():
@@ -195,9 +186,3 @@ def test_select_validation():
         select_moba_layers(SensitivityProfile(baseline=0.0, scores=()), 1.0)
     with pytest.raises(ValueError):
         select_moba_layers(SensitivityProfile(baseline=0.0, scores=(1.0,)), -1.0)
-
-
-def test_profile_json_roundtrip():
-    profile, _ = make_dip_profile(seed=1)
-    again = SensitivityProfile.from_json(profile.to_json())
-    assert again == profile

@@ -19,6 +19,9 @@ def test_json_roundtrip(tmp_path):
     save_tensor_json(path, x)
     assert np.array_equal(load_tensor_json(path), x)
     assert np.array_equal(load_tensor(path), x)
+    # nested data loads too
+    path.write_text('{"shape": [3, 4], "data": %s}' % x.tolist())
+    assert np.array_equal(load_tensor_json(path), x)
 
 
 def test_bin_roundtrip_and_header(tmp_path):
@@ -54,3 +57,11 @@ def test_json_rejects_shape_mismatch(tmp_path):
     path.write_text('{"shape": [2, 2], "data": [1.0, 2.0, 3.0]}')
     with pytest.raises(ValueError):
         load_tensor_json(path)
+    # malformed structure: text shape, fractional, boolean or negative dim,
+    # no object at the top, missing data
+    for text in ('{"shape": "ab", "data": [1.0, 2.0]}', '{"shape": [2, 2.5], "data": [1, 2, 3, 4, 5]}',
+                 '{"shape": [true, 2], "data": [1.0, 2.0]}', '{"shape": [-1], "data": []}',
+                 "[1, 2]", '{"shape": [2]}'):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad.json"):
+            load_tensor_json(path)
