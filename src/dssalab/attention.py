@@ -5,9 +5,16 @@ parallel-masked and recurrent forms. All are strictly causal, operate on
 single-head q/k/v of shape (n, d), and carry no 1/sqrt(d) scaling; callers
 that want scaling apply it to q beforehand (see stack.StackConfig).
 
-The softmax mechanisms are `masked_attention` under a boolean keep mask:
-`causal_keep` for full attention, `window_keep` for the sliding window, and
-the block selection for MoBA (see moba.moba_forward).
+The softmax mechanisms share one core, `_attend`, which works through the
+query rows in chunks of at most ROW_CHUNK rows. Each chunk scores its rows
+against the keys it may see, under a boolean keep mask, and never builds an
+n x n array: full attention takes the causal prefix of the chunk, the
+sliding window a band of chunk + window - 1 keys, and MoBA each row's
+selected blocks (see moba.moba_forward). A chunk holds every row's keys, so
+no online-softmax rescaling across key tiles is needed.
+
+`masked_attention` under the dense `causal_keep` and `window_keep` masks is
+the oracle the core is tested against.
 """
 
 from __future__ import annotations
@@ -16,10 +23,14 @@ import numpy as np
 
 from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, softmax_rows
 
+# query rows per chunk of the softmax core: a chunk's score array is at most
+# ROW_CHUNK x (keys it may see), never n x n
+ROW_CHUNK = 256
+
 
 def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q, k, v = as_f64(q), as_f64(k), as_f64(v)
-    if q.ndim != 2 or q.shape != k.shape or v.shape[0] != q.shape[0]:
+    if q.ndim != 2 or q.shape != k.shape or v.ndim != 2 or v.shape[0] != q.shape[0]:
         raise ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
     return q, k, v
 
@@ -50,16 +61,65 @@ def masked_attention(q, k, v, keep) -> np.ndarray:
     return ensure_finite(softmax_rows(scores) @ v, "masked_attention")
 
 
+def _band_keep(s: int, e: int, lo: int, window: int) -> np.ndarray:
+    """Keep mask of queries s..e-1 over keys lo..e-1: query t keeps key j
+    iff t - window < j <= t."""
+    rows, cols = e - s, e - lo
+    return np.tri(rows, cols, k=s - lo, dtype=bool) & ~np.tri(rows, cols, k=s - lo - window, dtype=bool)
+
+
+def _attend(q, k, v, keys) -> np.ndarray:
+    """Softmax attention over the query rows in chunks of at most ROW_CHUNK.
+
+    keys(s, e) names the keys of query rows s..e-1 as (cols, keep). cols is
+    a slice of key rows those queries share, or an int array (e - s, slots)
+    that gives each query its own blocks of keys; k and v then come shaped
+    (num_blocks, block, d), and a slice indexes their rows flattened. keep
+    is the bool mask over the keys named, slot after slot. Every query must
+    keep at least one key.
+    """
+    out = np.empty((q.shape[0], v.shape[-1]))
+    for s in range(0, q.shape[0], ROW_CHUNK):
+        e = min(s + ROW_CHUNK, q.shape[0])
+        out[s:e] = _attend_rows(q[s:e], k, v, *keys(s, e))
+    return ensure_finite(out, "attention")
+
+
+def _attend_rows(q, k, v, cols, keep) -> np.ndarray:
+    # one chunk of _attend; its arrays are freed before the next chunk's
+    if isinstance(cols, slice):
+        scores = q @ k.reshape(-1, k.shape[-1])[cols].T
+    else:
+        scores = np.concatenate([np.matmul(k[ids], q[:, :, None])[..., 0] for ids in cols.T], axis=1)
+    np.copyto(scores, NEG_INF, where=~keep)
+    weights = softmax_rows(scores, out=scores)
+    if isinstance(cols, slice):
+        return weights @ v.reshape(-1, v.shape[-1])[cols]
+    per_slot = weights.reshape(len(q), cols.shape[1], 1, -1)
+    return sum(np.matmul(per_slot[:, j], v[ids]) for j, ids in enumerate(cols.T))[:, 0]
+
+
+def _windowed(q, k, v, window: int) -> np.ndarray:
+    # each chunk reads the keys from window - 1 before its first row to its last
+    def keys(s, e):
+        lo = max(0, s - window + 1)
+        return slice(lo, e), _band_keep(s, e, lo, window)
+
+    return _attend(q, k, v, keys)
+
+
 def full_attention(q, k, v) -> np.ndarray:
     """Causal softmax attention: o_t = sum_{s<=t} softmax(q_t.k_s) v_s."""
     q, k, v = _check_qkv(q, k, v)
-    return masked_attention(q, k, v, causal_keep(q.shape[0]))
+    return _windowed(q, k, v, q.shape[0])
 
 
 def swa(q, k, v, window: int) -> np.ndarray:
     """Sliding-window attention: softmax over the last `window` positions."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     q, k, v = _check_qkv(q, k, v)
-    return masked_attention(q, k, v, window_keep(q.shape[0], window))
+    return _windowed(q, k, v, window)
 
 
 def linear_attention_parallel(q, k, v) -> np.ndarray:

@@ -268,7 +268,7 @@ def cmd_plan_show(args) -> int:
 
 def _profile(obj: dict) -> stack.SensitivityProfile:
     scores = tuple(float(s) for s in tensorio.json_list(obj, "scores"))
-    return stack.SensitivityProfile(baseline=float(obj["baseline"]), scores=scores)
+    return stack.SensitivityProfile(scores=scores)
 
 
 def cmd_layer_select(args) -> int:
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan_show)
 
     p = sub.add_parser("layer-select", help="sensitivity-driven layer picking")
-    p.add_argument("--profile", required=True, help="JSON file with baseline and scores")
+    p.add_argument("--profile", required=True, help="JSON file with per-layer scores")
     p.add_argument("--threshold", type=finite_non_negative_float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_layer_select)

@@ -5,6 +5,13 @@ Every query scores the pooled summaries of blocks that have started by its
 position, keeps its own block unconditionally plus the best-scoring others,
 and runs exact softmax attention over the tokens of the kept blocks under
 the usual causal mask.
+
+The attention gathers, for each query, only the keys and values of its
+selected blocks, at most top_k * block_size of them, through the row-chunked
+core of `attention`. Its cost is O(n * top_k * block_size * d), not
+O(n^2 * d). A chunk of queries whose causal prefix is no wider than that
+gather has selected every block it can see, so it reads the prefix as full
+attention does.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import causal_keep, masked_attention
+from .attention import _attend, _band_keep, _check_qkv
 from .tensor_ops import NEG_INF, ShapeError, as_f64, softmax_rows, top_k_mask
 
 
@@ -48,10 +55,10 @@ def block_pool_keys(k, block_size: int) -> np.ndarray:
     if k.ndim != 2:
         raise ShapeError(f"keys must be 2-D, got {k.shape}")
     n, d = k.shape
-    nb = num_blocks(n, block_size)
-    pooled = np.empty((nb, d))
-    for b in range(nb):
-        pooled[b] = k[b * block_size : min((b + 1) * block_size, n)].mean(axis=0)
+    full = n // block_size
+    pooled = k[: full * block_size].reshape(full, block_size, d).mean(axis=1)
+    if full * block_size < n:
+        pooled = np.concatenate([pooled, k[full * block_size :].mean(axis=0, keepdims=True)])
     return pooled
 
 
@@ -91,11 +98,27 @@ def moba_selections(q, k, params: MobaParams) -> list[BlockSelection]:
 
 def moba_forward(q, k, v, params: MobaParams) -> np.ndarray:
     """Exact softmax attention restricted to each query's selected blocks."""
-    q, k = _check_qk(q, k)
-    n = q.shape[0]
-    selected = moba_select(q, block_pool_keys(k, params.block_size), params)
-    keep = np.repeat(selected, params.block_size, axis=1)[:, :n] & causal_keep(n)
-    return masked_attention(q, k, v, keep)
+    q, k, v = _check_qkv(q, k, v)
+    n, b = q.shape[0], params.block_size
+    selected = moba_select(q, block_pool_keys(k, b), params)
+    nb = selected.shape[1]
+    slots = min(params.top_k, nb)
+    # each query's selected blocks first, in ascending order; a query that
+    # selects fewer than `slots` sees fewer blocks, so its spare slots hold
+    # future blocks, which the causal mask removes
+    order = np.argsort(~selected, axis=1, kind="stable")[:, :slots]
+    if slots * b < n:  # some chunk gathers: lay keys and values out in blocks
+        k, v = (np.pad(x, ((0, nb * b - n), (0, 0))).reshape(nb, b, -1) for x in (k, v))
+
+    def keys(s, e):
+        if slots * b >= e:
+            # no query here sees more blocks than it selects: read the prefix
+            return slice(0, e), _band_keep(s, e, 0, e)
+        ids = order[s:e]
+        positions = ids[:, :, None] * b + np.arange(b)
+        return ids, (positions <= np.arange(s, e)[:, None, None]).reshape(e - s, -1)
+
+    return _attend(q, k, v, keys)
 
 
 def activation_ratio(n: int, block_size: int, top_k: int) -> float:

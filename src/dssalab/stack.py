@@ -229,10 +229,9 @@ def stack_forward(x, params: list[LayerParams], config: StackConfig,
 
 @dataclass(frozen=True)
 class SensitivityProfile:
-    """Per-layer retrieval scores measured with that layer swapped to a
-    sparse mechanism, plus the all-layers baseline score."""
+    """Per-layer retrieval scores, each measured with that layer swapped to
+    a sparse mechanism."""
 
-    baseline: float
     scores: tuple[float, ...]
 
 

@@ -32,19 +32,18 @@ def ensure_finite(x: np.ndarray, where: str) -> np.ndarray:
     return x
 
 
-def softmax_rows(x) -> np.ndarray:
+def softmax_rows(x, out=None) -> np.ndarray:
     """Row-wise softmax with max-subtraction stabilization.
 
     Entries of -inf are excluded (weight 0). A row with every entry -inf is
-    an error.
+    an error. The result is written to `out` when given, which may be x
+    itself.
     """
     x = as_f64(x)
-    if x.ndim == 1:
-        return softmax_rows(x[None, :])[0]
     row_max = np.max(x, axis=-1, keepdims=True)
     if np.any(np.isneginf(row_max)):
         raise NumericsError("softmax row with all positions masked")
-    e = x - row_max
+    e = np.subtract(x, row_max, out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return ensure_finite(e, "softmax_rows")

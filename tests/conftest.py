@@ -23,5 +23,4 @@ def make_dip_profile(
     scores = scores + rng.uniform(-noise, noise, num_layers)
     for i in dip_indices:
         scores[i] -= dip
-    baseline = base + slope / 2.0
-    return SensitivityProfile(baseline=baseline, scores=tuple(scores)), sorted(dip_indices)
+    return SensitivityProfile(scores=tuple(scores)), sorted(dip_indices)

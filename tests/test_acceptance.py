@@ -335,7 +335,7 @@ def test_criterion_07_long_context_cost_claims():
 def test_criterion_08_layer_selection():
     profile, planted = make_dip_profile(seed=42)
     selected = select_moba_layers(profile, drop_threshold=5.0)
-    flat = SensitivityProfile(baseline=70.0, scores=(61.5,) * 36)
+    flat = SensitivityProfile(scores=(61.5,) * 36)
     flat_selected = select_moba_layers(flat, drop_threshold=5.0)
     ok = selected == planted and flat_selected == []
     report(8, ok, f"dip fixture selects exactly {len(planted)} planted layers, "

@@ -1,16 +1,26 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dssalab import attention
 from dssalab.attention import (
+    ROW_CHUNK,
+    causal_keep,
     full_attention,
     linear_attention_parallel,
     linear_attention_recurrent,
     masked_attention,
     swa,
+    window_keep,
 )
-from dssalab.tensor_ops import ShapeError
+from dssalab.moba import MobaParams, moba_forward
+from dssalab.tensor_ops import NumericsError, ShapeError
+
+# lengths around the chunk boundaries of the softmax core
+CHUNK_LENGTHS = (1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3)
 
 
 def full_attention_oracle(q, k, v):
@@ -130,9 +140,73 @@ def test_linear_attention_causality_mutation():
     assert np.array_equal(base[:5], got[:5])
 
 
+def test_chunked_core_matches_masked_oracle():
+    rng = np.random.default_rng(19)
+    for n in CHUNK_LENGTHS:
+        q, k, v = (rng.standard_normal((n, 8)) for _ in range(3))
+        got = full_attention(q, k, v)
+        want = masked_attention(q, k, v, causal_keep(n))
+        if n <= ROW_CHUNK:  # one chunk is the oracle's own computation
+            assert np.array_equal(got, want)
+        assert np.max(np.abs(got - want)) < 1e-12
+        for window in (1, ROW_CHUNK // 2, ROW_CHUNK + 37, n, n + 5):
+            got = swa(q, k, v, window)
+            assert np.max(np.abs(got - masked_attention(q, k, v, window_keep(n, window)))) < 1e-12
+
+
+def test_attention_memory_stays_below_quarter_n_squared():
+    # an n x n float64 array alone is four times the bound
+    n, d = 2048, 16
+    rng = np.random.default_rng(20)
+    q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+    calls = {
+        "full_attention": lambda: full_attention(q, k, v),
+        "swa": lambda: swa(q, k, v, 128),
+        "moba_forward": lambda: moba_forward(q, k, v, MobaParams(block_size=64, top_k=4)),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4, (name, peak)
+
+
+def test_attention_numerics_errors():
+    rng = np.random.default_rng(22)
+    q, k, v = (rng.standard_normal((300, 3)) for _ in range(3))
+    v[3, 1] = np.inf  # reaches the outputs of rows 3 on
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
+        full_attention(q, k, v)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
+        swa(q, k, v, 8)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
+        masked_attention(q, k, v, causal_keep(300))
+    q[2, 0] = np.nan
+    with pytest.raises(NumericsError):
+        swa(q, k, np.ones((300, 3)), 2)
+    # a query that keeps no key
+    keep = causal_keep(4)
+    keep[2] = False
+    with pytest.raises(NumericsError):
+        masked_attention(q[:4], k[:4], v[:4], keep)
+    with pytest.raises(NumericsError):
+        attention._attend(q[:4], k[:4], v[:4], lambda s, e: (slice(0, e), keep[s:e, :e]))
+
+
 def test_attention_shape_validation():
     with pytest.raises(ShapeError):
         full_attention(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros((3, 2)))
+    for mechanism in (full_attention, lambda q, k, v: swa(q, k, v, 2)):
+        with pytest.raises(ShapeError):
+            mechanism(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((4, 2)))  # v rows differ
+        with pytest.raises(ShapeError):
+            mechanism(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(3))  # 1-D v
+    for window in (0, -1):
+        with pytest.raises(ValueError):
+            swa(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)), window)
     with pytest.raises(ShapeError):
         linear_attention_parallel(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2)))
     with pytest.raises(ShapeError):

@@ -163,6 +163,22 @@ def test_profile_json_roundtrip(tmp_path):
     assert tensorio.read_json(path, cli._profile) == profile
 
 
+def test_layer_select_ignores_baseline(tmp_path):
+    # selection compares layers with each other; a baseline key changes nothing
+    scores = [1.0, 2.0, 3.0, -20.0]
+    outputs = []
+    for name, doc in [("plain", {"scores": scores}),
+                      ("high", {"baseline": 1e9, "scores": scores}),
+                      ("low", {"baseline": -1e9, "scores": scores})]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["layer-select", "--profile", str(path), "--threshold", "5.0"])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["selected"] == [3]
+
+
 def test_layer_select_dip_fixture(tmp_path):
     profile, planted = make_dip_profile(seed=42)
     path = tmp_path / "profile.json"

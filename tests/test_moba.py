@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dssalab.attention import full_attention
+from dssalab.attention import ROW_CHUNK, causal_keep, full_attention, masked_attention
 from dssalab.moba import (
     MobaParams,
     activation_ratio,
@@ -11,8 +11,26 @@ from dssalab.moba import (
     moba_forward,
     moba_select,
     moba_selections,
+    num_blocks,
 )
-from dssalab.tensor_ops import NEG_INF, softmax_rows
+from dssalab.tensor_ops import NEG_INF, NumericsError, ShapeError, softmax_rows
+
+
+def masked_form(q, k, v, params):
+    # dense form: the block selection expanded to an n x n keep mask
+    n = q.shape[0]
+    selected = moba_select(q, block_pool_keys(k, params.block_size), params)
+    keep = np.repeat(selected, params.block_size, axis=1)[:, :n] & causal_keep(n)
+    return masked_attention(q, k, v, keep)
+
+
+def pool_loop(k, block_size):
+    # one mean per block; the trailing partial block averages what it holds
+    n, d = k.shape
+    pooled = np.empty((num_blocks(n, block_size), d))
+    for b in range(pooled.shape[0]):
+        pooled[b] = k[b * block_size : min((b + 1) * block_size, n)].mean(axis=0)
+    return pooled
 
 
 def masked_oracle(q, k, v, params):
@@ -28,6 +46,14 @@ def masked_oracle(q, k, v, params):
         logits = np.where(allow, q[t] @ k.T, NEG_INF)
         out[t] = softmax_rows(logits) @ v
     return out
+
+
+def test_block_pool_matches_loop_oracle():
+    rng = np.random.default_rng(13)
+    for n in (1, 5, 63, 64, 65, 200, 4096, 4100):
+        k = rng.standard_normal((n, 3))
+        for b in (1, 3, 64, 4096):
+            assert np.array_equal(block_pool_keys(k, b), pool_loop(k, b)), (n, b)
 
 
 def test_block_pool_single_block_is_global_mean():
@@ -154,6 +180,34 @@ def test_forward_matches_mask_materializing_oracle():
     assert np.max(np.abs(got - masked_oracle(q, k, v, p))) < 1e-13
 
 
+def test_forward_gather_matches_masked_form():
+    rng = np.random.default_rng(14)
+    for n in (1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3):
+        q, k, v = (rng.standard_normal((n, 8)) for _ in range(3))
+        cases = [
+            MobaParams(block_size=7, top_k=3),  # partial last block at every n > 1 here
+            MobaParams(block_size=16, top_k=2),  # top_k below the block count
+            MobaParams(block_size=16, top_k=num_blocks(n, 16)),  # every block
+            MobaParams(block_size=n + 9, top_k=1),  # one block longer than the sequence
+        ]
+        for p in cases:
+            got = moba_forward(q, k, v, p)
+            assert np.max(np.abs(got - masked_form(q, k, v, p))) < 1e-12, (n, p)
+    # the attn_long benchmark shape: the first chunk reads its prefix, the rest gather
+    n = 2048
+    q, k, v = (rng.standard_normal((n, 16)) for _ in range(3))
+    p = MobaParams(block_size=64, top_k=4)
+    assert np.max(np.abs(moba_forward(q / 4.0, k, v, p) - masked_form(q / 4.0, k, v, p))) < 1e-12
+
+
+def test_forward_selecting_all_is_full_attention_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for n, b in ((5, 2), (ROW_CHUNK + 1, 4), (2 * ROW_CHUNK + 3, 64)):
+        q, k, v = (rng.standard_normal((n, 4)) for _ in range(3))
+        p = MobaParams(block_size=b, top_k=num_blocks(n, b))
+        assert np.array_equal(moba_forward(q, k, v, p), full_attention(q, k, v))
+
+
 def test_forward_causality_mutation():
     rng = np.random.default_rng(10)
     n, b = 16, 4
@@ -201,6 +255,16 @@ def test_activation_ratio_values():
 
 
 def test_params_validation():
+    p = MobaParams(block_size=2, top_k=1)
+    with pytest.raises(ShapeError):
+        moba_forward(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((3, 2)), p)  # v rows differ
+    with pytest.raises(ShapeError):
+        moba_forward(np.zeros((4, 2)), np.zeros((5, 2)), np.zeros((4, 2)), p)
+    for n in (2, 300):  # a chunk that reads its prefix; chunks that gather
+        v = np.ones((n, 2))
+        v[n - 2, 0] = np.inf  # in the query's own block, so always attended
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
+            moba_forward(np.ones((n, 2)), np.ones((n, 2)), v, p)
     with pytest.raises(ValueError):
         MobaParams(block_size=0, top_k=1)
     with pytest.raises(ValueError):

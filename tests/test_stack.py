@@ -157,7 +157,7 @@ def test_init_params_seeded_and_shaped():
 
 
 def test_select_flat_profile_is_empty():
-    profile = SensitivityProfile(baseline=70.0, scores=(61.5,) * 36)
+    profile = SensitivityProfile(scores=(61.5,) * 36)
     assert select_moba_layers(profile, 5.0) == []
 
 
@@ -165,14 +165,14 @@ def test_select_single_dip_any_position():
     for dip_at in (0, 3, 7):
         scores = [60.0] * 8
         scores[dip_at] -= 10.0
-        profile = SensitivityProfile(baseline=60.0, scores=tuple(scores))
+        profile = SensitivityProfile(scores=tuple(scores))
         assert select_moba_layers(profile, 5.0) == [dip_at]
 
 
 def test_select_equal_dips_are_both_picked():
     scores = [60.0] * 10
     scores[2] = scores[6] = 50.0
-    profile = SensitivityProfile(baseline=60.0, scores=tuple(scores))
+    profile = SensitivityProfile(scores=tuple(scores))
     assert select_moba_layers(profile, 5.0) == [2, 6]
 
 
@@ -183,6 +183,6 @@ def test_select_planted_dip_fixture():
 
 def test_select_validation():
     with pytest.raises(ValueError):
-        select_moba_layers(SensitivityProfile(baseline=0.0, scores=()), 1.0)
+        select_moba_layers(SensitivityProfile(scores=()), 1.0)
     with pytest.raises(ValueError):
-        select_moba_layers(SensitivityProfile(baseline=0.0, scores=(1.0,)), -1.0)
+        select_moba_layers(SensitivityProfile(scores=(1.0,)), -1.0)

@@ -33,6 +33,10 @@ def test_softmax_matches_extended_precision_oracle():
         got = softmax_rows(x)
         assert np.max(np.abs(got - softmax_oracle(x))) < 1e-14
         assert np.allclose(got.sum(axis=1), 1.0, atol=1e-12)
+        # in place: the same values, in x's own buffer
+        in_place = x.copy()
+        assert softmax_rows(in_place, out=in_place) is in_place
+        assert np.array_equal(in_place, got)
 
 
 def test_softmax_shift_invariance():
@@ -54,6 +58,8 @@ def test_softmax_one_dimensional_input():
     got = softmax_rows(np.array([0.0, 0.0]))
     assert got.shape == (2,)
     assert np.allclose(got, 0.5)
+    row = np.array([1.0, NEG_INF, 3.0])
+    assert np.array_equal(softmax_rows(row), softmax_rows(row[None, :])[0])
 
 
 def test_softmax_all_masked_row_raises():
