@@ -44,47 +44,25 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 CODEPOINTS, _SORTED_VALUES, _SORTED_CODES = _build_tables()
-
-
-def encode_value(x: float) -> int:
-    """Nearest representable code for a finite real, ties to even mantissa,
-    out-of-range magnitudes saturated to +-448."""
-    if np.isnan(x):
-        raise ValueError("NaN is not encodable; reject NaN upstream")
-    sign_bit = 0x80 if (x < 0.0 or (x == 0.0 and np.signbit(x))) else 0
-    mag = min(abs(float(x)), MAX_FINITE)
-    hi = int(np.searchsorted(_SORTED_VALUES, mag, side="left"))
-    if hi == 0:
-        code = _SORTED_CODES[0]
-    elif hi >= len(_SORTED_VALUES):
-        code = _SORTED_CODES[-1]
-    else:
-        below, above = _SORTED_VALUES[hi - 1], _SORTED_VALUES[hi]
-        d_lo, d_hi = mag - below, above - mag
-        if d_lo < d_hi:
-            code = _SORTED_CODES[hi - 1]
-        elif d_hi < d_lo:
-            code = _SORTED_CODES[hi]
-        else:  # midpoint: take the even mantissa
-            code = _SORTED_CODES[hi] if _SORTED_CODES[hi] & 1 == 0 else _SORTED_CODES[hi - 1]
-    return int(code) | sign_bit
+# midpoints of neighbouring non-negative finite values, exact in float64: a
+# magnitude below one is nearer the lower value, above it the upper one
+_MIDPOINTS = (_SORTED_VALUES[:-1] + _SORTED_VALUES[1:]) / 2.0
 
 
 def encode_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized encode_value; identical code choice element for element."""
+    """Nearest representable code for every finite element, ties to the even
+    mantissa, out-of-range magnitudes saturated to +-448; NaN is rejected.
+    Searching the midpoints keeps three full-size arrays live at most.
+    tests/test_fp8.py keeps a scalar oracle of the same code choice."""
     arr = as_f64(x)
     if np.isnan(arr).any():
         raise ValueError("NaN is not encodable; reject NaN upstream")
-    signs = np.where((arr < 0.0) | ((arr == 0.0) & np.signbit(arr)), 0x80, 0).astype(np.uint8)
     mag = np.minimum(np.abs(arr), MAX_FINITE)
-    hi = np.searchsorted(_SORTED_VALUES, mag, side="left")  # mag <= max value, so hi is in range
-    lo = np.maximum(hi - 1, 0)
-    d_lo = mag - _SORTED_VALUES[lo]
-    d_hi = _SORTED_VALUES[hi] - mag
-    hi_even = (_SORTED_CODES[hi] & 1) == 0
-    pick_hi = (d_hi < d_lo) | ((d_hi == d_lo) & hi_even)
-    codes = np.where(pick_hi, _SORTED_CODES[hi], _SORTED_CODES[lo])
-    return (codes | signs).astype(np.uint8)
+    idx = np.searchsorted(_MIDPOINTS, mag, side="left")  # nearest value, ties down; mag <= 448
+    tie = _MIDPOINTS.take(idx, mode="clip") == mag  # idx past the last midpoint is no tie
+    idx += tie & ((_SORTED_CODES[idx] & 1) == 1)  # a tie goes to the even mantissa
+    codes = _SORTED_CODES[idx]
+    return np.where(np.signbit(arr), codes | 0x80, codes)
 
 
 def decode_array(codes: np.ndarray) -> np.ndarray:

@@ -78,6 +78,8 @@ def moba_select(q, pooled, params: MobaParams) -> np.ndarray:
     ties toward the lower block index.
     """
     q = as_f64(q)
+    if q.shape[0] == 0:  # no query to route; softmax_rows needs a row
+        return np.zeros((0, pooled.shape[0]), dtype=bool)
     current = np.arange(q.shape[0]) // params.block_size
     visible = np.arange(pooled.shape[0]) <= current[:, None]
     gates = softmax_rows(np.where(visible, q @ pooled.T, NEG_INF))

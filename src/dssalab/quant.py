@@ -37,6 +37,12 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
+def _per_column(scales: np.ndarray, size: int, width: int) -> np.ndarray:
+    """Per-tile scales along the last axis, each repeated over the `size`
+    columns of its tile; the last tile may be partial, so `width` cuts."""
+    return np.repeat(scales, size, axis=-1)[..., :width]
+
+
 @dataclass
 class QuantizedBlockMatrix:
     """Per-block symmetric INT8 weights.
@@ -55,19 +61,15 @@ class QuantizedBlockMatrix:
     def shape(self) -> tuple[int, int]:
         return self.codes.shape
 
-    def block_bounds(self, br: int, bc: int) -> tuple[slice, slice]:
-        rs, cs = self.block_shape
-        return (
-            slice(br * rs, min((br + 1) * rs, self.codes.shape[0])),
-            slice(bc * cs, min((bc + 1) * cs, self.codes.shape[1])),
-        )
-
     def dequantize(self) -> np.ndarray:
-        out = np.empty(self.codes.shape)
-        for br in range(self.scales.shape[0]):
-            for bc in range(self.scales.shape[1]):
-                rows, cols = self.block_bounds(br, bc)
-                out[rows, cols] = self.codes[rows, cols].astype(np.float64) * self.scales[br, bc]
+        rs, cs = self.block_shape
+        nrows, ncols = self.codes.shape
+        out = self.codes.astype(np.float64)
+        col_scales = _per_column(self.scales, cs, ncols)  # (n_block_rows, ncols)
+        whole = nrows // rs
+        blocks = out[: whole * rs].reshape(whole, rs, ncols)  # a view of the whole block rows
+        blocks *= col_scales[:whole, None]
+        out[whole * rs :] *= col_scales[whole:]  # the partial last block row, if any
         return out
 
 
@@ -83,20 +85,16 @@ class QuantizedGroupActivation:
 
     @staticmethod
     def decode(codes: np.ndarray) -> np.ndarray:
+        """Codes as float64 values, in a new array."""
         return codes.astype(np.float64)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.codes.shape
 
-    def group_bounds(self, g: int) -> slice:
-        return slice(g * self.group_size, min((g + 1) * self.group_size, self.codes.shape[1]))
-
     def dequantize(self) -> np.ndarray:
-        out = np.empty(self.codes.shape)
-        for g in range(self.scales.shape[1]):
-            cols = self.group_bounds(g)
-            out[:, cols] = self.decode(self.codes[:, cols]) * self.scales[:, g : g + 1]
+        out = self.decode(self.codes)  # a new array, scaled in place
+        out *= _per_column(self.scales, self.group_size, self.codes.shape[1])
         return out
 
 
@@ -111,15 +109,12 @@ def encode_groups(x, group_size: int, qmax: float, encode, dtype, caller: str):
     ensure_finite(x, caller)
     if group_size < 1:
         raise ValueError(f"group size must be >= 1, got {group_size}")
-    n, d = x.shape
-    codes = np.zeros((n, d), dtype=dtype)
-    scales = np.ones((n, (d + group_size - 1) // group_size))
-    for g, c0 in enumerate(range(0, d, group_size)):
-        group = x[:, c0 : c0 + group_size]
-        amax = np.max(np.abs(group), axis=1)
-        scale = np.where(amax == 0.0, 1.0, amax / qmax)
-        codes[:, c0 : c0 + group_size] = encode(group / scale[:, None])
-        scales[:, g] = scale
+    d = x.shape[1]
+    amax = np.maximum.reduceat(np.abs(x), np.arange(0, d, group_size), axis=1)
+    scales = np.where(amax == 0.0, 1.0, amax / qmax)
+    scaled = _per_column(scales, group_size, d)
+    np.divide(x, scaled, out=scaled)  # in place: each full-size temporary raises peak RSS
+    codes = encode(scaled).astype(dtype, copy=False)
     return codes, scales
 
 
@@ -191,6 +186,8 @@ def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
     int32 product of a's columns `rows` with the int32 weight tile; both
     scales are then applied in float64 and tiles summed in ascending group
     order, so paths whose tile products agree give bit-identical results.
+    A tile sum can reach 127*127 times the tile width, so a tiling whose
+    widest tile could overflow int32 is rejected with ValueError.
     """
     if a.group_size != w.block_shape[0]:
         raise ShapeError(
@@ -198,10 +195,15 @@ def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
         )
     if a.shape[1] != w.codes.shape[0]:
         raise ShapeError(f"inner dims disagree: {a.shape} @ {w.codes.shape}")
+    rs, cs = w.block_shape
+    width = min(rs, a.shape[1])  # the widest tile
+    if 127 * 127 * width > 2**31 - 1:
+        raise ValueError(f"a tile {width} codes wide can overflow int32: 127*127*{width} > 2**31 - 1")
     out = np.zeros((a.shape[0], w.codes.shape[1]))
     for g in range(a.scales.shape[1]):
+        rows = slice(g * rs, (g + 1) * rs)
         for bc in range(w.scales.shape[1]):
-            rows, cols = w.block_bounds(g, bc)
+            cols = slice(bc * cs, (bc + 1) * cs)
             acc = tile_product(rows, w.codes[rows, cols].astype(np.int32))
             out[:, cols] += acc.astype(np.float64) * a.scales[:, g : g + 1] * w.scales[g, bc]
     return out

@@ -16,7 +16,8 @@ from dssalab.attention import (
     swa,
     window_keep,
 )
-from dssalab.moba import MobaParams, moba_forward
+from dssalab.moba import MobaParams, block_pool_keys, moba_forward, moba_select, moba_selections
+from dssalab.sse import SSEParams, sse_forward
 from dssalab.tensor_ops import NumericsError, ShapeError
 
 # lengths around the chunk boundaries of the softmax core
@@ -194,6 +195,19 @@ def test_attention_numerics_errors():
         masked_attention(q[:4], k[:4], v[:4], keep)
     with pytest.raises(NumericsError):
         attention._attend(q[:4], k[:4], v[:4], lambda s, e: (slice(0, e), keep[s:e, :e]))
+
+
+def test_zero_query_rows_give_empty_outputs():
+    qk, v = np.zeros((0, 4)), np.zeros((0, 3))
+    assert full_attention(qk, qk, v).shape == (0, 3)
+    assert swa(qk, qk, v, 2).shape == (0, 3)
+    params = MobaParams(block_size=2, top_k=2)
+    assert moba_forward(qk, qk, v, params).shape == (0, 3)
+    selected = moba_select(qk, block_pool_keys(qk, 2), params)
+    assert selected.shape == (0, 0) and selected.dtype == bool
+    assert moba_selections(qk, qk, params) == []
+    sse = SSEParams(num_partitions=4, top_k=2, gate_weight=np.ones((5, 4)))
+    assert sse_forward(np.zeros((0, 5)), qk, qk, v, sse).outputs.shape == (0, 3)
 
 
 def test_attention_shape_validation():

@@ -110,6 +110,17 @@ def test_spike_report_counting_identity(tensor_file):
     assert 0.0 <= blob["firing_rate"] <= 1.0
 
 
+def test_spike_report_wide_row(tmp_path):
+    # wider than 2**16: only a tile wider than 133,144 codes could overflow int32
+    path = tmp_path / "wide.json"
+    tensorio.save_tensor_json(str(path), np.random.default_rng(10).normal(size=(1, 70000)))
+    code, out = run_cli(["spike-report", "--input", str(path)])
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["shape"] == [1, 70000]
+    assert blob["add_events"] + blob["skipped_events"] == 7 * blob["dense_mac_equivalent"]
+
+
 def test_scaling_table_header_and_auto_ratios():
     code, out = run_cli(["scaling-table", "--lengths", "8k,64k,256k,512k", "--schedule", "auto"])
     assert code == 0
@@ -236,6 +247,16 @@ def test_moba_trace_structure():
         assert entry["blocks"] == sorted(entry["blocks"])
         assert all(0 <= b <= t // 2 for b in entry["blocks"])
         assert t // 2 in entry["blocks"]  # current block always kept
+
+
+def test_moba_trace_zero_rows(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"shape": [0, 4], "data": []}))
+    code, out = run_cli(["moba-trace", "--queries", str(path), "--keys", str(path)])
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["n"] == 0
+    assert blob["selections"] == []
 
 
 def test_out_flag_writes_file_with_same_bytes(tmp_path):

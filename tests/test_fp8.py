@@ -20,7 +20,6 @@ from dssalab.fp8 import (
     decode_array,
     decode_code,
     encode_array,
-    encode_value,
     fp8_matmul_emulated,
     fp8_quantize,
 )
@@ -47,6 +46,36 @@ def oracle_table() -> list[float]:
             mag = base + man * ulp
         table.append(float(sign * mag))
     return table
+
+
+# finite non-negative codes in ascending value order, for the scalar oracle
+_FINITE_POS = np.array([c for c in range(128) if not np.isnan(CODEPOINTS[c])], dtype=np.uint8)
+_SORTED_CODES = _FINITE_POS[np.argsort(CODEPOINTS[_FINITE_POS], kind="stable")]
+_SORTED_VALUES = CODEPOINTS[_SORTED_CODES]
+
+
+def encode_value(x: float) -> int:
+    """Scalar oracle of encode_array: nearest representable code for a finite
+    real, ties to even mantissa, out-of-range magnitudes saturated to +-448."""
+    if np.isnan(x):
+        raise ValueError("NaN is not encodable; reject NaN upstream")
+    sign_bit = 0x80 if (x < 0.0 or (x == 0.0 and np.signbit(x))) else 0
+    mag = min(abs(float(x)), MAX_FINITE)
+    hi = int(np.searchsorted(_SORTED_VALUES, mag, side="left"))
+    if hi == 0:
+        code = _SORTED_CODES[0]
+    elif hi >= len(_SORTED_VALUES):
+        code = _SORTED_CODES[-1]
+    else:
+        below, above = _SORTED_VALUES[hi - 1], _SORTED_VALUES[hi]
+        d_lo, d_hi = mag - below, above - mag
+        if d_lo < d_hi:
+            code = _SORTED_CODES[hi - 1]
+        elif d_hi < d_lo:
+            code = _SORTED_CODES[hi]
+        else:  # midpoint: take the even mantissa
+            code = _SORTED_CODES[hi] if _SORTED_CODES[hi] & 1 == 0 else _SORTED_CODES[hi - 1]
+    return int(code) | sign_bit
 
 
 def test_decode_table_matches_independent_oracle():
@@ -137,10 +166,15 @@ def test_relative_error_bound_in_normal_range():
 
 def test_encode_array_matches_scalar_encode():
     rng = np.random.default_rng(11)
+    midpoints = (_SORTED_VALUES[:-1] + _SORTED_VALUES[1:]) / 2.0
     x = np.concatenate(
         [
             rng.normal(0.0, 100.0, size=300),
             np.array([0.0, -0.0, 448.0, -448.0, 1000.0, -1000.0, 1.0625, -1.0625, 2.0**-10]),
+            midpoints,  # every tie, half of them resolved upward to the even mantissa
+            -midpoints,
+            np.nextafter(midpoints, 0.0),
+            np.nextafter(midpoints, 448.0),
         ]
     )
     got = encode_array(x)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dssalab.fp8 import encode_array, fp8_quantize
 from dssalab.quant import (
     DEFAULT_CLIP_GRID,
     QuantizedBlockMatrix,
@@ -29,6 +30,44 @@ def clip_search_oracle(block, grid):
         if best_mse is None or mse < best_mse:
             best_c, best_mse = c, mse
     return best_c, best_mse
+
+
+def encode_groups_loop(x, group_size, qmax, encode, dtype):
+    # the per-group loop that encode_groups replaced, kept as its oracle
+    n, d = x.shape
+    codes = np.zeros((n, d), dtype=dtype)
+    scales = np.ones((n, (d + group_size - 1) // group_size))
+    for g, c0 in enumerate(range(0, d, group_size)):
+        group = x[:, c0 : c0 + group_size]
+        amax = np.max(np.abs(group), axis=1)
+        scale = np.where(amax == 0.0, 1.0, amax / qmax)
+        codes[:, c0 : c0 + group_size] = encode(group / scale[:, None])
+        scales[:, g] = scale
+    return codes, scales
+
+
+def group_dequantize_loop(qa):
+    # the per-group loop of QuantizedGroupActivation.dequantize, kept as its oracle
+    out = np.empty(qa.codes.shape)
+    for g in range(qa.scales.shape[1]):
+        cols = slice(g * qa.group_size, (g + 1) * qa.group_size)
+        out[:, cols] = qa.decode(qa.codes[:, cols]) * qa.scales[:, g : g + 1]
+    return out
+
+
+def block_dequantize_loop(qw):
+    # the per-block loop of QuantizedBlockMatrix.dequantize, kept as its oracle
+    rs, cs = qw.block_shape
+    out = np.empty(qw.codes.shape)
+    for br in range(qw.scales.shape[0]):
+        for bc in range(qw.scales.shape[1]):
+            rows, cols = slice(br * rs, (br + 1) * rs), slice(bc * cs, (bc + 1) * cs)
+            out[rows, cols] = qw.codes[rows, cols].astype(np.float64) * qw.scales[br, bc]
+    return out
+
+
+def int8_encode(y):
+    return np.clip(round_half_away(y), -127, 127).astype(np.int8)
 
 
 def test_round_half_away_from_zero():
@@ -96,7 +135,7 @@ def test_blocks_are_independent():
     whole = quantize_weight_blocks(w, block_shape=(4, 4))
     for br in range(2):
         for bc in range(2):
-            rows, cols = whole.block_bounds(br, bc)
+            rows, cols = slice(4 * br, 4 * br + 4), slice(4 * bc, 4 * bc + 4)
             solo = quantize_weight_blocks(w[rows, cols], block_shape=(4, 4))
             assert np.array_equal(whole.codes[rows, cols], solo.codes)
             assert whole.scales[br, bc] == solo.scales[0, 0]
@@ -108,7 +147,7 @@ def test_activation_roundtrip_error_within_half_scale():
     qa = quantize_activation_groups(x, group_size=8)
     back = qa.dequantize()
     for g in range(qa.scales.shape[1]):
-        cols = qa.group_bounds(g)
+        cols = slice(8 * g, 8 * g + 8)
         bound = qa.scales[:, g : g + 1] / 2.0 + 1e-15
         assert np.all(np.abs(back[:, cols] - x[:, cols]) <= bound)
 
@@ -132,6 +171,29 @@ def test_zero_activation_group_scale_is_one():
     qa = quantize_activation_groups(np.zeros((3, 8)), group_size=4)
     assert np.array_equal(qa.scales, np.ones((3, 2)))
     assert np.all(qa.codes == 0)
+
+
+def test_group_and_block_layout_match_loop_oracles():
+    # partial last groups and blocks, an all-zero group and an all-zero block
+    rng = np.random.default_rng(46)
+    for n, d, m, g, bc in [(1, 1, 1, 1, 1), (3, 7, 5, 4, 3), (5, 20, 9, 8, 4),
+                           (4, 33, 17, 16, 16), (2, 16, 16, 16, 16), (6, 5, 3, 9, 2)]:
+        x = rng.standard_normal((n, d)) * rng.uniform(0.01, 500.0)
+        x[0, :g] = 0.0
+        for quantize, qmax, encode, dtype in [
+            (quantize_activation_groups, 127.0, int8_encode, np.int8),
+            (fp8_quantize, 448.0, encode_array, np.uint8),
+        ]:
+            qa = quantize(x, group_size=g)
+            codes, scales = encode_groups_loop(x, g, qmax, encode, dtype)
+            assert qa.codes.dtype == dtype
+            assert np.array_equal(qa.codes, codes)
+            assert np.array_equal(qa.scales, scales)
+            assert np.array_equal(qa.dequantize(), group_dequantize_loop(qa))
+        w = rng.standard_normal((d, m))
+        w[:g, :bc] = 0.0
+        qw = quantize_weight_blocks(w, block_shape=(g, bc))
+        assert np.array_equal(qw.dequantize(), block_dequantize_loop(qw))
 
 
 def test_int8_reference_matches_triple_loop():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dssalab.quant import (
+    QuantizedBlockMatrix,
     QuantizedGroupActivation,
     int8_matmul_reference,
     quantize_activation_groups,
@@ -73,8 +74,6 @@ def test_spike_matmul_bit_exact_vs_reference():
 
 def test_spike_matmul_small_hand_case():
     # 2x3 @ 3x2, checked against a by-hand integer product
-    from dssalab.quant import QuantizedBlockMatrix
-
     a = make_qa(np.array([[1, -2, 3], [0, 5, -1]]), group_size=3)
     w_codes = np.array([[2, 1], [0, -1], [4, 2]], dtype=np.int8)
     qw = QuantizedBlockMatrix(
@@ -156,16 +155,35 @@ def test_firing_rate_over_collection():
     assert firing_rate([]) == 0.0
 
 
+def all_127_tile(g: int):
+    # one tile g codes wide, every activation and weight code 127, unit scales
+    qa = make_qa(np.full((1, g), 127), group_size=g)
+    qw = QuantizedBlockMatrix(
+        codes=np.full((g, 1), 127, dtype=np.int8),
+        scales=np.ones((1, 1)),
+        clips=np.ones((1, 1)),
+        mse=np.zeros((1, 1)),
+        block_shape=(g, 1),
+    )
+    return qa, qw
+
+
 def test_spike_matmul_validation():
     qa = make_qa(np.ones((2, 8)), group_size=4)
     qw = quantize_weight_blocks(np.ones((8, 2)), block_shape=(8, 2))
     with pytest.raises(ShapeError):
         spike_matmul(spike_encode(qa), qw)  # group size 4 vs block rows 8
-    big = QuantizedGroupActivation(
-        codes=np.zeros((1, (1 << 16) + 8), dtype=np.int8),
-        scales=np.ones((1, ((1 << 16) + 8) // 8)),
-        group_size=8,
-    )
-    qw2 = quantize_weight_blocks(np.ones(((1 << 16) + 8, 1)), block_shape=(8, 8))
-    with pytest.raises(ValueError):
-        spike_matmul(spike_encode(big), qw2)
+    # a tile sum reaches 127*127*g, so g = 133,144 is the widest tile that fits int32
+    qa, qw = all_127_tile(133_144)
+    want = np.array([[127.0 * 127.0 * 133_144]])
+    assert np.array_equal(int8_matmul_reference(qa, qw), want)
+    assert np.array_equal(spike_matmul(spike_encode(qa), qw)[0], want)
+    qa, qw = all_127_tile(133_145)
+    with pytest.raises(ValueError, match="int32"):
+        int8_matmul_reference(qa, qw)
+    with pytest.raises(ValueError, match="int32"):
+        spike_matmul(spike_encode(qa), qw)
+    # the guard measures the widest tile, so a wide group over a narrow row is fine
+    qa = quantize_activation_groups(np.ones((1, 8)), group_size=200_000)
+    qw = quantize_weight_blocks(np.ones((8, 1)), block_shape=(200_000, 200_000))
+    assert np.array_equal(spike_matmul(spike_encode(qa), qw)[0], int8_matmul_reference(qa, qw))
