@@ -5,13 +5,12 @@ parallel-masked and recurrent forms. All are strictly causal, operate on
 single-head q/k/v of shape (n, d), and carry no 1/sqrt(d) scaling; callers
 that want scaling apply it to q beforehand (see stack.StackConfig).
 
-The softmax mechanisms share one core, `_attend`, which works through the
-query rows in chunks of at most ROW_CHUNK rows. Each chunk scores its rows
-against the keys it may see, under a boolean keep mask, and never builds an
-n x n array: full attention takes the causal prefix of the chunk, the
-sliding window a band of chunk + window - 1 keys, and MoBA each row's
-selected blocks (see moba.moba_forward). A chunk holds every row's keys, so
-no online-softmax rescaling across key tiles is needed.
+The softmax mechanisms share one kernel, `_attend_rows`: query rows against
+contiguous key rows under a boolean keep mask. `_windowed` runs it over
+chunks of at most ROW_CHUNK query rows, never an n x n array: full attention
+hands a chunk its causal prefix, the sliding window a band of chunk +
+window - 1 keys. MoBA loops over the same chunks itself. A chunk holds every
+row's keys, so no online-softmax rescaling across key tiles is needed.
 
 `masked_attention` under the dense `causal_keep` and `window_keep` masks is
 the oracle the core is tested against.
@@ -68,44 +67,22 @@ def _band_keep(s: int, e: int, lo: int, window: int) -> np.ndarray:
     return np.tri(rows, cols, k=s - lo, dtype=bool) & ~np.tri(rows, cols, k=s - lo - window, dtype=bool)
 
 
-def _attend(q, k, v, keys) -> np.ndarray:
-    """Softmax attention over the query rows in chunks of at most ROW_CHUNK.
-
-    keys(s, e) names the keys of query rows s..e-1 as (cols, keep). cols is
-    a slice of key rows those queries share, or an int array (e - s, slots)
-    that gives each query its own blocks of keys; k and v then come shaped
-    (num_blocks, block, d), and a slice indexes their rows flattened. keep
-    is the bool mask over the keys named, slot after slot. Every query must
-    keep at least one key.
-    """
-    out = np.empty((q.shape[0], v.shape[-1]))
-    for s in range(0, q.shape[0], ROW_CHUNK):
-        e = min(s + ROW_CHUNK, q.shape[0])
-        out[s:e] = _attend_rows(q[s:e], k, v, *keys(s, e))
-    return ensure_finite(out, "attention")
-
-
-def _attend_rows(q, k, v, cols, keep) -> np.ndarray:
-    # one chunk of _attend; its arrays are freed before the next chunk's
-    if isinstance(cols, slice):
-        scores = q @ k.reshape(-1, k.shape[-1])[cols].T
-    else:
-        scores = np.concatenate([np.matmul(k[ids], q[:, :, None])[..., 0] for ids in cols.T], axis=1)
+def _attend_rows(q, k, v, keep) -> np.ndarray:
+    """Query row i attends key row j iff keep[i, j]; each row keeps at least
+    one key. Its arrays are freed before the next chunk's."""
+    scores = q @ k.T
     np.copyto(scores, NEG_INF, where=~keep)
-    weights = softmax_rows(scores, out=scores)
-    if isinstance(cols, slice):
-        return weights @ v.reshape(-1, v.shape[-1])[cols]
-    per_slot = weights.reshape(len(q), cols.shape[1], 1, -1)
-    return sum(np.matmul(per_slot[:, j], v[ids]) for j, ids in enumerate(cols.T))[:, 0]
+    return softmax_rows(scores, out=scores) @ v
 
 
 def _windowed(q, k, v, window: int) -> np.ndarray:
     # each chunk reads the keys from window - 1 before its first row to its last
-    def keys(s, e):
+    out = np.empty((q.shape[0], v.shape[1]))
+    for s in range(0, q.shape[0], ROW_CHUNK):
+        e = min(s + ROW_CHUNK, q.shape[0])
         lo = max(0, s - window + 1)
-        return slice(lo, e), _band_keep(s, e, lo, window)
-
-    return _attend(q, k, v, keys)
+        out[s:e] = _attend_rows(q[s:e], k[lo:e], v[lo:e], _band_keep(s, e, lo, window))
+    return ensure_finite(out, "attention")
 
 
 def full_attention(q, k, v) -> np.ndarray:

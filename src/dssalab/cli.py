@@ -97,6 +97,14 @@ def parse_length(text: str) -> int:
     return int(text)
 
 
+def _length_list(text: str) -> list[int]:
+    """argparse type for --lengths: no length, or one below 1, is exit 2."""
+    values = [parse_length(part) for part in text.split(",") if part]
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive lengths, got {text!r}")
+    return values
+
+
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) if a.size else 0.0
 
@@ -117,7 +125,7 @@ def cmd_attn_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     errors = {
         "linear_parallel_vs_recurrent": 0.0,
-        "sse_single_partition_vs_linear_recurrent": 0.0,
+        "sse_single_partition_vs_linear_parallel": 0.0,
         "moba_select_all_vs_full": 0.0,
         "swa_full_window_vs_full": 0.0,
     }
@@ -133,8 +141,8 @@ def cmd_attn_check(args) -> int:
                 )
                 sse_params = SSEParams(num_partitions=1, top_k=1, gate_weight=np.zeros((d, 1)))
                 sse_out = sse_forward(q, q, k, v, sse_params).outputs
-                errors["sse_single_partition_vs_linear_recurrent"] = max(
-                    errors["sse_single_partition_vs_linear_recurrent"], _max_abs_diff(sse_out, lin_rec)
+                errors["sse_single_partition_vs_linear_parallel"] = max(
+                    errors["sse_single_partition_vs_linear_parallel"], _max_abs_diff(sse_out, lin_par)
                 )
                 full = full_attention(q, k, v)
                 moba_params = MobaParams(block_size=2, top_k=(n + 1) // 2 + 1)
@@ -227,14 +235,13 @@ def _load_plan(path: str | None) -> stack.LayerPlan:
 
 
 def cmd_scaling_table(args) -> int:
-    lengths = [parse_length(part) for part in args.lengths.split(",") if part]
     plan = _load_plan(args.plan)
     params = costmodel.CostParams(
         d_model=args.d_model,
         moba_block_size=args.block_size,
         moba_top_k=args.top_k,
     )
-    rows = costmodel.scaling_rows(lengths, params, plan=plan, schedule=args.schedule)
+    rows = costmodel.scaling_rows(args.lengths, params, plan=plan, schedule=args.schedule)
     lines = ["n,fa_cost,dssa_cost,ratio,fa_kv_bytes,dssa_kv_bytes,moba_activation_ratio"]
     for r in rows:
         lines.append(
@@ -395,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spike_report)
 
     p = sub.add_parser("scaling-table", help="cost/memory scaling CSV")
-    p.add_argument("--lengths", default="128k,256k,512k,1M,2M,4M")
+    p.add_argument("--lengths", type=_length_list, default="128k,256k,512k,1M,2M,4M")
     p.add_argument("--plan", default=None, help="layer plan JSON file (default: built-in plan)")
     p.add_argument("--schedule", choices=("fixed", "auto"), default="fixed")
     p.add_argument("--d-model", type=positive_int, default=4096)

@@ -6,12 +6,11 @@ position, keeps its own block unconditionally plus the best-scoring others,
 and runs exact softmax attention over the tokens of the kept blocks under
 the usual causal mask.
 
-The attention gathers, for each query, only the keys and values of its
-selected blocks, at most top_k * block_size of them, through the row-chunked
-core of `attention`. Its cost is O(n * top_k * block_size * d), not
-O(n^2 * d). A chunk of queries whose causal prefix is no wider than that
-gather has selected every block it can see, so it reads the prefix as full
-attention does.
+The attention runs over attention.ROW_CHUNK query rows at a time. A chunk
+whose causal prefix is no wider than top_k * block_size keys has selected
+every block it can see, so it reads the prefix as full attention does. Any
+other chunk gathers each query's selected blocks from keys and values laid
+out in blocks, at O(n * top_k * block_size * d), not O(n^2 * d).
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _attend, _band_keep, _check_qkv
-from .tensor_ops import NEG_INF, ShapeError, as_f64, softmax_rows, top_k_mask
+from .attention import ROW_CHUNK, _attend_rows, _band_keep, _check_qkv
+from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, softmax_rows, top_k_mask
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,19 @@ def moba_selections(q, k, params: MobaParams) -> list[BlockSelection]:
     ]
 
 
+def _gather_rows(q, k, v, ids, s: int) -> np.ndarray:
+    """Query row s + i attends blocks ids[i] of k, v laid out (num_blocks, b,
+    d), masked past its position; so are spare slots' future blocks."""
+    rows, b = len(q), k.shape[1]
+    positions = ids[:, :, None] * b + np.arange(b)
+    keep = (positions <= np.arange(s, s + rows)[:, None, None]).reshape(rows, -1)
+    # one (rows, b, d) gather per slot, never all rows' top_k * b keys at once
+    scores = np.concatenate([np.matmul(k[slot], q[:, :, None])[..., 0] for slot in ids.T], axis=1)
+    np.copyto(scores, NEG_INF, where=~keep)
+    weights = softmax_rows(scores, out=scores).reshape(rows, ids.shape[1], 1, b)
+    return sum(np.matmul(weights[:, j], v[slot]) for j, slot in enumerate(ids.T))[:, 0]
+
+
 def moba_forward(q, k, v, params: MobaParams) -> np.ndarray:
     """Exact softmax attention restricted to each query's selected blocks."""
     q, k, v = _check_qkv(q, k, v)
@@ -110,17 +122,15 @@ def moba_forward(q, k, v, params: MobaParams) -> np.ndarray:
     # future blocks, which the causal mask removes
     order = np.argsort(~selected, axis=1, kind="stable")[:, :slots]
     if slots * b < n:  # some chunk gathers: lay keys and values out in blocks
-        k, v = (np.pad(x, ((0, nb * b - n), (0, 0))).reshape(nb, b, -1) for x in (k, v))
-
-    def keys(s, e):
-        if slots * b >= e:
-            # no query here sees more blocks than it selects: read the prefix
-            return slice(0, e), _band_keep(s, e, 0, e)
-        ids = order[s:e]
-        positions = ids[:, :, None] * b + np.arange(b)
-        return ids, (positions <= np.arange(s, e)[:, None, None]).reshape(e - s, -1)
-
-    return _attend(q, k, v, keys)
+        k_blocks, v_blocks = (np.pad(x, ((0, nb * b - n), (0, 0))).reshape(nb, b, -1) for x in (k, v))
+    out = np.empty((n, v.shape[1]))
+    for s in range(0, n, ROW_CHUNK):
+        e = min(s + ROW_CHUNK, n)
+        if slots * b >= e:  # no query here sees more blocks than it selects
+            out[s:e] = _attend_rows(q[s:e], k[:e], v[:e], _band_keep(s, e, 0, e))
+        else:
+            out[s:e] = _gather_rows(q[s:e], k_blocks, v_blocks, order[s:e], s)
+    return ensure_finite(out, "attention")
 
 
 def activation_ratio(n: int, block_size: int, top_k: int) -> float:

@@ -69,12 +69,8 @@ def rms_norm(x, weight, eps: float = 1e-6) -> np.ndarray:
 
 def sigmoid(x) -> np.ndarray:
     x = as_f64(x)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(x) -> np.ndarray:

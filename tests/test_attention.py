@@ -194,7 +194,7 @@ def test_attention_numerics_errors():
     with pytest.raises(NumericsError):
         masked_attention(q[:4], k[:4], v[:4], keep)
     with pytest.raises(NumericsError):
-        attention._attend(q[:4], k[:4], v[:4], lambda s, e: (slice(0, e), keep[s:e, :e]))
+        attention._attend_rows(q[:4], k[:4], v[:4], keep)
 
 
 def test_zero_query_rows_give_empty_outputs():

@@ -56,7 +56,7 @@ def test_attn_check_passes_and_reports():
     names = {p["name"] for p in blob["properties"]}
     assert names == {
         "linear_parallel_vs_recurrent",
-        "sse_single_partition_vs_linear_recurrent",
+        "sse_single_partition_vs_linear_parallel",
         "moba_select_all_vs_full",
         "swa_full_window_vs_full",
     }
@@ -330,6 +330,10 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["quant-report", "--input", str(tmp_path / "missing.json")],
         ["loss-check", "--fixture", str(bad_fixture)],
         ["scaling-table", "--lengths", "12x,64k"],
+        ["scaling-table", "--lengths", ","],
+        ["scaling-table", "--lengths="],
+        ["scaling-table", "--lengths", "0"],
+        ["scaling-table", "--lengths", "64k,0k"],
         ["layer-select", "--profile", str(not_json), "--threshold", "1.0"],
         ["quant-report", "--input", str(short_header)],
         ["quant-report", "--input", str(short_dims)],

@@ -104,12 +104,26 @@ def test_rms_norm_zero_row_is_finite():
     assert np.array_equal(got, np.zeros((1, 4)))
 
 
+def sigmoid_masked(x: np.ndarray) -> np.ndarray:
+    # the masked two-branch form sigmoid replaced; each branch exponentiates
+    # only values <= 0, so neither overflows
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def test_sigmoid_silu_values():
     assert sigmoid(np.array(0.0)) == 0.5
     assert abs(silu(np.array(0.0))) == 0.0
     x = np.array([-700.0, 700.0])
     s = sigmoid(x)
     assert np.all(np.isfinite(s)) and s[0] < 1e-300 and s[1] == 1.0
+    edges = [0.0, -0.0, 40.0, -40.0, 745.0, -745.0, 1000.0, -1000.0, 5e-324, -5e-324]
+    x = np.concatenate([np.random.default_rng(5).normal(0.0, 50.0, (256, 32)).ravel(), edges])
+    assert np.array_equal(sigmoid(x), sigmoid_masked(x))
     # silu(x) = x * sigmoid(x)
     r = np.linspace(-5, 5, 21)
     assert np.allclose(silu(r), r * sigmoid(r), atol=1e-15)
