@@ -4,7 +4,10 @@ Weights are quantized per 128x128 block with a greedy clipping search:
 every clip coefficient on a grid is tried and the one with the lowest
 block MSE wins. Activations are quantized per 1x128 group with the group
 max as the threshold (no clipping). Rounding is half-away-from-zero and
-codes are clamped to [-127, 127], so magnitudes fit in 7 bits.
+codes are clamped to [-127, 127], so magnitudes fit in 7 bits. Integer
+products run as float64 GEMMs on the codes (see int8_tiles); they are
+exact because every tile sum fits the int32 accumulator the format
+promises, far below 2**53.
 
 Serialized container layouts (all little-endian):
 
@@ -13,6 +16,8 @@ Serialized container layouts (all little-endian):
   over the block grid), int8 codes (row-major).
 * group activation: magic ``QGRPI8\\x00\\x00``, u32 nrows, u32 ncols,
   u32 group_size, f32 scales (row-major), int8 codes (row-major).
+
+Both loaders reject the int8 code -128.
 """
 
 from __future__ import annotations
@@ -181,13 +186,15 @@ def quantize_activation_groups(x, group_size: int = DEFAULT_GROUP_SIZE) -> Quant
 
 
 def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
-    """The tile loop shared by the integer paths. For activation group g and
-    weight block column bc, tile_product(rows, w_tile) returns the exact
-    int32 product of a's columns `rows` with the int32 weight tile; both
-    scales are then applied in float64 and tiles summed in ascending group
-    order, so paths whose tile products agree give bit-identical results.
-    A tile sum can reach 127*127 times the tile width, so a tiling whose
-    widest tile could overflow int32 is rejected with ValueError.
+    """The group loop shared by the integer paths. For activation group g,
+    tile_product(rows, w_band) returns the float64 product of a's codes in
+    columns `rows` with the full-width band w.codes[rows]. Its sums are
+    integers far below 2**53, so a float64 GEMM returns them exactly in any
+    summation order. Both scales are then applied in float64 and groups
+    summed in ascending order, so paths whose products agree give
+    bit-identical results. The format's accumulator is int32: a tiling
+    whose widest tile (127*127 times its width) could overflow it is
+    rejected with ValueError.
     """
     if a.group_size != w.block_shape[0]:
         raise ShapeError(
@@ -199,20 +206,20 @@ def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
     width = min(rs, a.shape[1])  # the widest tile
     if 127 * 127 * width > 2**31 - 1:
         raise ValueError(f"a tile {width} codes wide can overflow int32: 127*127*{width} > 2**31 - 1")
-    out = np.zeros((a.shape[0], w.codes.shape[1]))
+    ncols = w.codes.shape[1]
+    out = np.zeros((a.shape[0], ncols))
     for g in range(a.scales.shape[1]):
         rows = slice(g * rs, (g + 1) * rs)
-        for bc in range(w.scales.shape[1]):
-            cols = slice(bc * cs, (bc + 1) * cs)
-            acc = tile_product(rows, w.codes[rows, cols].astype(np.int32))
-            out[:, cols] += acc.astype(np.float64) * a.scales[:, g : g + 1] * w.scales[g, bc]
+        acc = tile_product(rows, w.codes[rows].astype(np.float64))
+        out += acc * a.scales[:, g : g + 1] * _per_column(w.scales[g], cs, ncols)
     return out
 
 
 def int8_matmul_reference(a: QuantizedGroupActivation, w: QuantizedBlockMatrix) -> np.ndarray:
-    """Integer-exact reference product: int32 tile products through
+    """Integer-exact reference product: float64 GEMMs on the codes through
     int8_tiles, whose fixed order the event-driven path reproduces."""
-    return int8_tiles(a, w, lambda rows, w_tile: a.codes[:, rows].astype(np.int32) @ w_tile)
+    codes = a.codes.astype(np.float64)
+    return int8_tiles(a, w, lambda rows, w_band: codes[:, rows] @ w_band)
 
 
 def save_block_matrix(path, qw: QuantizedBlockMatrix) -> None:
@@ -231,6 +238,14 @@ def _read(fh, size: int, path) -> bytes:
     return data
 
 
+def _read_codes(fh, size: int, path) -> np.ndarray:
+    # -128 breaks the 7-plane spike coding and the int32 accumulator bound
+    codes = np.frombuffer(_read(fh, size, path), dtype="<i1").astype(np.int8)
+    if codes.min(initial=0) < -127:
+        raise ValueError(f"{path}: a code of -128 lies outside [-127, 127]")
+    return codes
+
+
 def load_block_matrix(path) -> QuantizedBlockMatrix:
     with open(path, "rb") as fh:
         if fh.read(8) != BLOCK_MAGIC:
@@ -241,7 +256,7 @@ def load_block_matrix(path) -> QuantizedBlockMatrix:
         nbr, nbc = (nrows + rs - 1) // rs, (ncols + cs - 1) // cs
         scales = np.frombuffer(_read(fh, 4 * nbr * nbc, path), dtype="<f4").astype(np.float64)
         clips = np.frombuffer(_read(fh, 4 * nbr * nbc, path), dtype="<f4").astype(np.float64)
-        codes = np.frombuffer(_read(fh, nrows * ncols, path), dtype="<i1").astype(np.int8)
+        codes = _read_codes(fh, nrows * ncols, path)
     return QuantizedBlockMatrix(
         codes=codes.reshape(nrows, ncols),
         scales=scales.reshape(nbr, nbc),
@@ -268,7 +283,7 @@ def load_group_activation(path) -> QuantizedGroupActivation:
             raise ValueError(f"{path}: group size {gs} in the header is not positive")
         n_groups = (d + gs - 1) // gs
         scales = np.frombuffer(_read(fh, 4 * n * n_groups, path), dtype="<f4").astype(np.float64)
-        codes = np.frombuffer(_read(fh, n * d, path), dtype="<i1").astype(np.int8)
+        codes = _read_codes(fh, n * d, path)
     return QuantizedGroupActivation(
         codes=codes.reshape(n, d), scales=scales.reshape(n, n_groups), group_size=gs
     )

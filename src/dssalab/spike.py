@@ -3,11 +3,13 @@
 Each int8 activation code becomes one sign plane plus 7 binary magnitude
 planes (plane j holds bit j of |code|; |code| <= 127 so 7 planes cover it).
 A matmul then runs as event-driven shift-add: per bit-plane, only firing
-elements contribute an integer add, partial sums are shifted by the plane
-weight, and signs fold in. The integer accumulators reproduce the int8
-reference product exactly, so the event path is a lossless re-encoding,
-not an approximation. The module also counts events to report how much of
-the dense multiply-accumulate work the sparsity skips.
+elements contribute an add, the plane's sum is weighted by 2**plane, and
+signs fold in. Each plane product is a float64 GEMM whose sums are
+integers of at most 127 times the group width, so it is exact, and the
+result reproduces the int8 reference product bit for bit: the event path
+is a lossless re-encoding, not an approximation. The module also counts
+events to report how much of the dense multiply-accumulate work the
+sparsity skips.
 """
 
 from __future__ import annotations
@@ -94,17 +96,17 @@ def firing_rate(trains) -> float:
 def spike_matmul(train: SpikeTrain, w: QuantizedBlockMatrix) -> tuple[np.ndarray, OpCountReport]:
     """Event-driven product of a spike train with block-quantized weights.
 
-    Per inner-dimension tile: every bit-plane contributes a signed {-1,0,1}
-    integer product shifted left by its plane index, so the int32 tile
-    accumulator equals the int8 tile product exactly. The tiles run through
-    the same int8_tiles loop as int8_matmul_reference, which makes the whole
-    result bit-identical to it.
+    Per activation group, every bit-plane's signed {-1,0,1} product with
+    the weight band, an exact float64 GEMM, is weighted by 2**plane, so the
+    group's sum equals the int8 product. The groups run through the same
+    int8_tiles loop as int8_matmul_reference, which makes the whole result
+    bit-identical to it.
     """
-    def tile_product(rows: slice, w_tile: np.ndarray) -> np.ndarray:
-        signs = train.signs[:, rows].astype(np.int32)
-        acc = np.zeros((train.shape[0], w_tile.shape[1]), dtype=np.int32)
+    def tile_product(rows: slice, w_band: np.ndarray) -> np.ndarray:
+        signs = train.signs[:, rows].astype(np.float64)
+        acc = np.zeros((train.shape[0], w_band.shape[1]))
         for j in range(NUM_PLANES):
-            acc += ((train.planes[j][:, rows].astype(np.int32) * signs) @ w_tile) << j
+            acc += ((train.planes[j][:, rows] * signs) @ w_band) * 2.0**j
         return acc
 
     out = int8_tiles(train, w, tile_product)

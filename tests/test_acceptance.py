@@ -16,7 +16,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
-from conftest import make_dip_profile
+from conftest import int32_tile_product, make_dip_profile
 
 from dssalab import quant, spike, tensorio
 from dssalab.attention import (
@@ -180,10 +180,11 @@ def test_criterion_03_spike_path_bit_exact():
         w = rng.normal(0.0, 0.5, size=(256, 256))
         qa = quant.quantize_activation_groups(a)
         qw = quant.quantize_weight_blocks(w)
-        reference = quant.int8_matmul_reference(qa, qw)
+        oracle = int32_tile_product(qa, qw)
         train = spike.spike_encode(qa)
         got, op_report = spike.spike_matmul(train, qw)
-        if not np.array_equal(got, reference):
+        reference = quant.int8_matmul_reference(qa, qw)
+        if not (np.array_equal(reference, oracle) and np.array_equal(got, oracle)):
             ok = False
         # counting identity: every potential event is either added or skipped
         fired = int(train.planes.sum())
@@ -199,8 +200,8 @@ def test_criterion_03_spike_path_bit_exact():
     if not np.array_equal(back.codes, codes):
         ok = False
 
-    report(3, ok, "spike expansion bit-exact vs INT8 reference on 50 256x256 matmuls, "
-                  "event counting identity exact, encode/decode exhaustive on [-127,127]")
+    report(3, ok, "INT8 reference and spike path bit-exact vs the int32 tile oracle on 50 256x256 "
+                  "matmuls, event counting identity exact, encode/decode exhaustive on [-127,127]")
     assert ok
 
 

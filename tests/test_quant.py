@@ -287,9 +287,15 @@ def test_container_rejects_wrong_magic(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(ValueError, match="bad"):
             load_block_matrix(path)
+    path.write_bytes(raw[:-1] + b"\x80")  # int8 code -128: outside [-127, 127]
+    with pytest.raises(ValueError, match="-128"):
+        load_block_matrix(path)
     save_group_activation(good, quantize_activation_groups(rng.standard_normal((2, 8)), group_size=4))
     raw = good.read_bytes()  # 8 magic + 12 header + 16 scales + 16 codes
     for cut in (12, 30, len(raw) - 1):
         path.write_bytes(raw[:cut])
         with pytest.raises(ValueError, match="bad"):
             load_group_activation(path)
+    path.write_bytes(raw[:-1] + b"\x80")
+    with pytest.raises(ValueError, match="-128"):
+        load_group_activation(path)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import int32_tile_product
 
 from dssalab.quant import (
     QuantizedBlockMatrix,
@@ -68,8 +71,72 @@ def test_spike_matmul_bit_exact_vs_reference():
         w = rng.standard_normal((32, 12)) * rng.uniform(0.1, 4.0)
         qa = quantize_activation_groups(x, group_size=8)
         qw = quantize_weight_blocks(w, block_shape=(8, 8))
+        oracle = int32_tile_product(qa, qw)
         got, _ = spike_matmul(spike_encode(qa), qw)
-        assert np.array_equal(got, int8_matmul_reference(qa, qw))
+        assert np.array_equal(got, oracle)
+        assert np.array_equal(int8_matmul_reference(qa, qw), oracle)
+
+
+def unit_tile(a_codes, w_codes):
+    # one group over the whole inner dim, one block column, unit scales
+    qa = make_qa(a_codes, group_size=a_codes.shape[1])
+    qw = QuantizedBlockMatrix(
+        codes=np.asarray(w_codes, dtype=np.int8),
+        scales=np.ones((1, 1)),
+        clips=np.ones((1, 1)),
+        mse=np.zeros((1, 1)),
+        block_shape=(a_codes.shape[1], w_codes.shape[1]),
+    )
+    return qa, qw
+
+
+def all_127_tile(g: int):
+    # one tile g codes wide, every activation and weight code 127
+    return unit_tile(np.full((1, g), 127), np.full((g, 1), 127))
+
+
+def test_integer_paths_exact_at_the_edges():
+    rng = np.random.default_rng(45)
+    cases = []
+    # (rows, inner dim, columns, group size, block columns)
+    for n, d, m, g, bc in (
+        (5, 20, 13, 8, 8),  # a partial last group and a partial last block column
+        (6, 130, 260, 64, 32),  # block width differs from the group size
+        (0, 24, 10, 8, 8),  # zero token rows
+    ):
+        qa = quantize_activation_groups(rng.standard_normal((n, d)), group_size=g)
+        qw = quantize_weight_blocks(rng.standard_normal((d, m)), block_shape=(g, bc))
+        cases.append((qa, qw))
+    # summed in order, the partial sums pass 2**24 (float32's mantissa) before the halves cancel
+    half = np.full((1, 2048), 127)
+    cases.append(unit_tile(np.hstack([half, -half]), np.full((4096, 1), 127)))
+    # an odd sum above 2**24, per plane too: float32 cannot hold it in any order
+    cases.append(all_127_tile(133_143))
+    for qa, qw in cases:
+        oracle = int32_tile_product(qa, qw)
+        assert oracle.shape == (qa.shape[0], qw.shape[1])
+        assert np.array_equal(int8_matmul_reference(qa, qw), oracle)
+        assert np.array_equal(spike_matmul(spike_encode(qa), qw)[0], oracle)
+
+
+def test_integer_paths_memory_stays_below_4_mib():
+    # in float64 a weight band is 1 MiB and the output 0.5 MiB; the seven plane
+    # products stacked as one (7, 64, 1024) array would pass the bound
+    rng = np.random.default_rng(46)
+    qa = quantize_activation_groups(rng.standard_normal((64, 1024)), group_size=128)
+    qw = quantize_weight_blocks(rng.standard_normal((1024, 1024)) / 32.0)
+    train = spike_encode(qa)
+    for name, call in (
+        ("int8_matmul_reference", lambda: int8_matmul_reference(qa, qw)),
+        ("spike_matmul", lambda: spike_matmul(train, qw)),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 1024 * 1024, (name, peak)
 
 
 def test_spike_matmul_small_hand_case():
@@ -153,19 +220,6 @@ def test_firing_rate_over_collection():
     b = spike_encode(make_qa(np.full((1, 4), 127)))
     assert firing_rate([a, b]) == 0.5
     assert firing_rate([]) == 0.0
-
-
-def all_127_tile(g: int):
-    # one tile g codes wide, every activation and weight code 127, unit scales
-    qa = make_qa(np.full((1, g), 127), group_size=g)
-    qw = QuantizedBlockMatrix(
-        codes=np.full((g, 1), 127, dtype=np.int8),
-        scales=np.ones((1, 1)),
-        clips=np.ones((1, 1)),
-        mse=np.zeros((1, 1)),
-        block_shape=(g, 1),
-    )
-    return qa, qw
 
 
 def test_spike_matmul_validation():
