@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dssalab.attention import linear_attention_recurrent
-from dssalab.sse import SSEParams, sse_forward, sse_gate
-from dssalab.tensor_ops import l2_normalize_rows, silu, softmax_rows
+from dssalab.sse import CHUNK, SSEParams, sse_forward, sse_gate
+from dssalab.tensor_ops import NumericsError, ShapeError, l2_normalize_rows, silu, softmax_rows
+
+# lengths around the chunk boundaries of the scan
+CHUNK_LENGTHS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
 
 
 def make_params(rng, d, num_partitions=4, top_k=2, **kw):
@@ -91,12 +96,14 @@ def test_forward_token_reads_its_own_update():
 
 
 def test_single_partition_equals_linear_recurrent():
+    # the chunked scan sums in another order than the per-token recurrence
     rng = np.random.default_rng(12)
-    for n, d in [(1, 2), (7, 4), (20, 3)]:
+    for n, d in [(1, 2), (7, 4), (20, 3), (CHUNK + 1, 4), (2 * CHUNK + 3, 3)]:
         q, k, v = (rng.standard_normal((n, d)) * 0.5 for _ in range(3))
         p = SSEParams(num_partitions=1, top_k=1, gate_weight=np.zeros((d, 1)))
         got = sse_forward(q, q, k, v, p)
-        assert np.array_equal(got.outputs, linear_attention_recurrent(q, k, v))
+        want = linear_attention_recurrent(q, k, v)
+        assert np.max(np.abs(got.outputs - want)) <= 1e-12 * max(1.0, np.max(np.abs(want))), n
 
 
 def manual_scan(x, q, k, v, p):
@@ -122,17 +129,23 @@ def manual_scan(x, q, k, v, p):
 
 
 def test_forward_matches_manual_scan_oracle():
+    # 41 rows fit one chunk; the chunk lengths carry state across chunk edges
     rng = np.random.default_rng(13)
-    n, d, num, k_sel = 41, 3, 4, 2
-    x = rng.standard_normal((n, d))
-    q, kk, v = (rng.standard_normal((n, d)) for _ in range(3))
-    for options in ({}, {"always_selected": 1}, {"feature_map": "silu"}, {"qk_l2_norm": True}):
-        p = make_params(np.random.default_rng(99), d, num_partitions=num, top_k=k_sel, **options)
-        got = sse_forward(x, q, kk, v, p)
-        outputs, selections, freqs = manual_scan(x, q, kk, v, p)
-        assert [list(np.flatnonzero(row)) for row in got.selected] == selections, options
-        assert np.max(np.abs(got.outputs - outputs)) < 1e-12, options
-        assert np.max(np.abs(got.freqs - freqs)) < 1e-15, options
+    d, num, k_sel = 3, 4, 2
+    options_grid = (
+        {}, {"always_selected": 1}, {"feature_map": "silu"}, {"qk_l2_norm": True},
+        {"always_selected": 3, "feature_map": "silu", "qk_l2_norm": True},
+    )
+    for n in (41, *CHUNK_LENGTHS):
+        x = rng.standard_normal((n, d))
+        q, kk, v = (rng.standard_normal((n, d)) for _ in range(3))
+        for options in options_grid:
+            p = make_params(np.random.default_rng(99), d, num_partitions=num, top_k=k_sel, **options)
+            got = sse_forward(x, q, kk, v, p)
+            outputs, selections, freqs = manual_scan(x, q, kk, v, p)
+            assert [list(np.flatnonzero(row)) for row in got.selected] == selections, (n, options)
+            assert np.abs(got.outputs - outputs).max(initial=0.0) < 1e-12, (n, options)
+            assert np.abs(got.freqs - freqs).max(initial=0.0) < 1e-15, (n, options)
 
 
 def test_running_freq_uses_after_update_convention():
@@ -159,16 +172,57 @@ def test_feature_map_silu_then_l2_order():
 
 
 def test_forward_causality_mutation():
+    # row t inside the first chunk, then row CHUNK, the first row of the second
     rng = np.random.default_rng(15)
-    n, d = 10, 3
-    x, q, k, v = (rng.standard_normal((n, d)) for _ in range(4))
+    d = 3
     p = make_params(np.random.default_rng(77), d)
-    base = sse_forward(x, q, k, v, p).outputs
-    x2, k2 = x.copy(), k.copy()
-    x2[7] += 3.0
-    k2[8] -= 2.0
-    got = sse_forward(x2, q, k2, v, p).outputs
-    assert np.array_equal(base[:7], got[:7])
+    for n, t in [(10, 7), (2 * CHUNK + 3, CHUNK)]:
+        x, q, k, v = (rng.standard_normal((n, d)) for _ in range(4))
+        base = sse_forward(x, q, k, v, p).outputs
+        x2, k2 = x.copy(), k.copy()
+        x2[t] += 3.0
+        k2[t + 1] -= 2.0
+        got = sse_forward(x2, q, k2, v, p).outputs
+        assert np.array_equal(base[:t], got[:t]), n
+        assert not np.array_equal(base[t:], got[t:]), n
+
+
+def test_forward_shape_errors():
+    p = SSEParams(num_partitions=2, top_k=1, gate_weight=np.zeros((2, 2)))
+    good = np.zeros((3, 2))
+    bad = {
+        "1-D v": (good, good, good, np.zeros(3)),
+        "3-D q": (good, np.zeros((3, 2, 1)), np.zeros((3, 2, 1)), good),
+        "k shape": (good, good, np.zeros((3, 3)), good),
+        "x length": (np.zeros((4, 2)), good, good, good),
+        "v length": (good, good, good, np.zeros((4, 2))),
+    }
+    for name, (x, q, k, v) in bad.items():
+        try:
+            sse_forward(x, q, k, v, p)
+        except ShapeError:
+            continue
+        pytest.fail(f"{name}: no ShapeError")
+    v = np.ones((3, 2))
+    v[1, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="sse_forward"):
+        sse_forward(good, np.ones((3, 2)), np.ones((3, 2)), v, p)
+
+
+def test_forward_memory_stays_below_quarter_n_squared():
+    # the dense masked-product form alone would build an n x n float64 array,
+    # four times the bound
+    n, d = 4096, 16
+    rng = np.random.default_rng(16)
+    x, q, k, v = (rng.standard_normal((n, d)) for _ in range(4))
+    p = make_params(rng, d, num_partitions=4, top_k=2, feature_map="silu")
+    tracemalloc.start()
+    try:
+        sse_forward(x, q, k, v, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4, peak
 
 
 def test_params_validation():
