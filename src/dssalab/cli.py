@@ -202,6 +202,8 @@ def cmd_spike_report(args) -> int:
     x = tensorio.load_tensor(args.input)
     if x.ndim != 2:
         raise ShapeError(f"spike-report needs a 2-D tensor, got shape {x.shape}")
+    if x.shape[1] == 0:
+        raise ShapeError(f"spike-report input {args.input} has no columns, shape {x.shape}")
     qa = quant.quantize_activation_groups(x, group_size=args.group_size)
     train = spike.spike_encode(qa)
     if args.weight:

@@ -4,15 +4,15 @@ Uses the saturating no-infinity variant: the top exponent keeps seven
 finite steps and only mantissa 111 encodes NaN, so the largest finite
 magnitude is 448. Values outside [-448, 448] saturate on encode. Encoding
 rounds to nearest with ties to the even mantissa. Group scaling mirrors
-the INT8 activation layout, with 448 in place of 127.
+the INT8 layout (448 in place of 127); products share its tile loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .quant import QuantizedGroupActivation, encode_groups
-from .tensor_ops import ShapeError, as_f64
+from .quant import QuantizedBlockMatrix, QuantizedGroupActivation, encode_groups, int8_tiles
+from .tensor_ops import as_f64
 
 EXP_BITS = 4
 MAN_BITS = 3
@@ -81,12 +81,9 @@ def fp8_quantize(x, group_size: int = 128) -> Fp8GroupActivation:
     return Fp8GroupActivation(codes=codes, scales=scales, group_size=group_size)
 
 
-def fp8_matmul_emulated(a: Fp8GroupActivation, w) -> np.ndarray:
-    """Decode the 8-bit activations to float64 and multiply against the
-    weights (dequantized first when they arrive as a quantized container);
-    accumulation stays in float64 throughout."""
-    lhs = a.dequantize()
-    rhs = w.dequantize() if hasattr(w, "dequantize") else as_f64(w)
-    if lhs.shape[1] != rhs.shape[0]:
-        raise ShapeError(f"inner dims disagree: {lhs.shape} @ {rhs.shape}")
-    return lhs @ rhs
+def fp8_matmul_emulated(a: Fp8GroupActivation, w: QuantizedBlockMatrix) -> np.ndarray:
+    """The int8_tiles loop with decoded activation codes in each tile
+    product: 8-bit-float values are multiples of 2**-9 of magnitude at most
+    448, so tile sums are exact in float64, as on the integer paths."""
+    decoded = a.decode(a.codes)
+    return int8_tiles(a, w, lambda rows, w_band: decoded[:, rows] @ w_band)

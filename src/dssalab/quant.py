@@ -5,9 +5,9 @@ every clip coefficient on a grid is tried and the one with the lowest
 block MSE wins. Activations are quantized per 1x128 group with the group
 max as the threshold (no clipping). Rounding is half-away-from-zero and
 codes are clamped to [-127, 127], so magnitudes fit in 7 bits. Integer
-products run as float64 GEMMs on the codes (see int8_tiles); they are
-exact because every tile sum fits the int32 accumulator the format
-promises, far below 2**53.
+products run as float64 GEMMs on the codes (see int8_tiles, which the
+8-bit-float product in fp8.py shares); they are exact because every tile
+sum fits the int32 accumulator the format promises, far below 2**53.
 
 Serialized container layouts (all little-endian):
 
@@ -17,11 +17,13 @@ Serialized container layouts (all little-endian):
 * group activation: magic ``QGRPI8\\x00\\x00``, u32 nrows, u32 ncols,
   u32 group_size, f32 scales (row-major), int8 codes (row-major).
 
-Both loaders reject the int8 code -128.
+Both loaders reject the int8 code -128, a header that claims more bytes
+than the file holds, and bytes after the codes.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -186,15 +188,15 @@ def quantize_activation_groups(x, group_size: int = DEFAULT_GROUP_SIZE) -> Quant
 
 
 def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
-    """The group loop shared by the integer paths. For activation group g,
-    tile_product(rows, w_band) returns the float64 product of a's codes in
-    columns `rows` with the full-width band w.codes[rows]. Its sums are
-    integers far below 2**53, so a float64 GEMM returns them exactly in any
-    summation order. Both scales are then applied in float64 and groups
-    summed in ascending order, so paths whose products agree give
-    bit-identical results. The format's accumulator is int32: a tiling
-    whose widest tile (127*127 times its width) could overflow it is
-    rejected with ValueError.
+    """The group loop of the INT8, spike and 8-bit-float paths. For group g,
+    tile_product(rows, w_band) returns a new float64 array, scaled here in
+    place: a's decoded codes in columns `rows` times the band w.codes[rows].
+    Its sums are integers (multiples of 2**-9 for 8-bit floats) far below
+    2**53 such units, so a float64 GEMM returns them exactly in any order.
+    Both scales are then applied in float64 and groups summed in ascending
+    order, so paths whose products agree give bit-identical results. The
+    format's accumulator is int32: a tiling whose widest tile (127*127
+    times its width) could overflow it is rejected with ValueError.
     """
     if a.group_size != w.block_shape[0]:
         raise ShapeError(
@@ -211,7 +213,9 @@ def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
     for g in range(a.scales.shape[1]):
         rows = slice(g * rs, (g + 1) * rs)
         acc = tile_product(rows, w.codes[rows].astype(np.float64))
-        out += acc * a.scales[:, g : g + 1] * _per_column(w.scales[g], cs, ncols)
+        acc *= a.scales[:, g : g + 1]  # in place: a full-size temporary per group costs time
+        acc *= _per_column(w.scales[g], cs, ncols)
+        out += acc
     return out
 
 
@@ -231,18 +235,27 @@ def save_block_matrix(path, qw: QuantizedBlockMatrix) -> None:
         fh.write(qw.codes.astype("<i1").tobytes())
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read(fh, size: int, path) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(f"{path}: truncated, a read of {size} bytes got {len(data)}")
-    return data
+    # checked before reading: a header can claim far more than the file holds
+    left = _bytes_left(fh)
+    if size > left:
+        raise ValueError(f"{path}: truncated, a read of {size} bytes finds {left} left")
+    return fh.read(size)
 
 
 def _read_codes(fh, size: int, path) -> np.ndarray:
-    # -128 breaks the 7-plane spike coding and the int32 accumulator bound
+    """The codes that end a container: a -128 code breaks the 7-plane spike
+    coding and the int32 accumulator bound, and no bytes may follow."""
     codes = np.frombuffer(_read(fh, size, path), dtype="<i1").astype(np.int8)
     if codes.min(initial=0) < -127:
         raise ValueError(f"{path}: a code of -128 lies outside [-127, 127]")
+    extra = _bytes_left(fh)
+    if extra:
+        raise ValueError(f"{path}: {extra} bytes follow the codes")
     return codes
 
 

@@ -49,9 +49,6 @@ class LayerPlan:
     def counts(self) -> dict[str, int]:
         return {kind: self.kinds.count(kind) for kind in LAYER_KINDS}
 
-    def layers_of(self, kind: str) -> tuple[int, ...]:
-        return tuple(i for i, item in enumerate(self.kinds) if item == kind)
-
 
 def default_plan() -> LayerPlan:
     """Default 36-layer hybrid plan: block-sparse layers concentrated in the
@@ -74,7 +71,6 @@ class StackConfig:
     d_ff: int = 32
     sse_partitions: int = 4
     sse_top_k: int = 2
-    sse_feature_map: str = "silu"
     moba_block_size: int = 4096
     moba_top_k: int = 12
     swa_window: int = 128
@@ -187,7 +183,7 @@ def _attend(kind: str, normed: np.ndarray, lw: dict, config: StackConfig,
             num_partitions=config.sse_partitions,
             top_k=config.sse_top_k,
             gate_weight=lw["sse_gate"],
-            feature_map=config.sse_feature_map,
+            feature_map="silu",
         )
         sse_out = _multihead(
             normed, lw, "sse", config,

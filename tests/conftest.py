@@ -7,20 +7,43 @@ import numpy as np
 from dssalab.stack import DEFAULT_MOBA_LAYERS, SensitivityProfile
 
 
-def int32_tile_product(qa, qw) -> np.ndarray:
-    """The int32 (group, block-column) tile loop that quant.int8_tiles ran
-    before its products moved to float64 GEMMs, kept as the independent
-    integer oracle of both integer paths: each tile's int32 sum is scaled
-    in float64, and tiles are summed in ascending group order."""
+def _exact_tiles(a_units, unit: float, dtype, qa, qw) -> np.ndarray:
+    """The (group, block-column) tile loop over activation values given as
+    integers a_units (value = a_units / unit): each tile sums exactly in
+    integer dtype, is divided by unit (a power of two, so exactly) and
+    scaled in float64, and tiles are summed in ascending group order."""
     rs, cs = qw.block_shape
     out = np.zeros((qa.shape[0], qw.codes.shape[1]))
     for g in range(qa.scales.shape[1]):
         rows = slice(g * rs, (g + 1) * rs)
         for bc in range(qw.scales.shape[1]):
             cols = slice(bc * cs, (bc + 1) * cs)
-            acc = qa.codes[:, rows].astype(np.int32) @ qw.codes[rows, cols].astype(np.int32)
-            out[:, cols] += acc.astype(np.float64) * qa.scales[:, g : g + 1] * qw.scales[g, bc]
+            acc = a_units[:, rows].astype(dtype) @ qw.codes[rows, cols].astype(dtype)
+            out[:, cols] += acc.astype(np.float64) / unit * qa.scales[:, g : g + 1] * qw.scales[g, bc]
     return out
+
+
+def int32_tile_product(qa, qw) -> np.ndarray:
+    """The int32 tile loop that quant.int8_tiles ran before its products
+    moved to float64 GEMMs, kept as the independent integer oracle of both
+    integer paths."""
+    return _exact_tiles(qa.codes, 1.0, np.int32, qa, qw)
+
+
+def _fp8_units(codes: np.ndarray) -> np.ndarray:
+    """8-bit-float (1-4-3) codes as integer multiples of 2**-9, read from
+    the bits rather than the decode table: a subnormal is its mantissa m,
+    a normal (8 + m) * 2**(exponent - 1)."""
+    c = codes.astype(np.int64)
+    exp, man = (c >> 3) & 0x0F, c & 0x07
+    mag = np.where(exp == 0, man, (8 + man) << np.maximum(exp - 1, 0))
+    return np.where(c & 0x80, -mag, mag)
+
+
+def int64_tile_product(qa, qw) -> np.ndarray:
+    """The int64 tile oracle of the 8-bit-float product: activation codes
+    as multiples of 2**-9 times INT8 weight codes, summed exactly per tile."""
+    return _exact_tiles(_fp8_units(qa.codes), 2.0**9, np.int64, qa, qw)
 
 
 def make_dip_profile(

@@ -121,6 +121,20 @@ def test_spike_report_wide_row(tmp_path):
     assert blob["add_events"] + blob["skipped_events"] == 7 * blob["dense_mac_equivalent"]
 
 
+def test_spike_report_weight_file(tmp_path, tensor_file, capsys):
+    rng = np.random.default_rng(11)
+    weight = tmp_path / "weight.json"
+    tensorio.save_tensor_json(str(weight), rng.normal(size=(16, 5)))
+    code, out = run_cli(["spike-report", "--input", tensor_file, "--group-size", "8", "--weight", str(weight)])
+    assert code == 0
+    assert json.loads(out)["dense_mac_equivalent"] == 16 * 16 * 5
+    tensorio.save_tensor_json(str(weight), rng.normal(size=(12, 5)))  # 12 rows against 16 columns
+    code, out = run_cli(["spike-report", "--input", tensor_file, "--group-size", "8", "--weight", str(weight)])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert "inner dims disagree" in err and "Traceback" not in err
+
+
 def test_scaling_table_header_and_auto_ratios():
     code, out = run_cli(["scaling-table", "--lengths", "8k,64k,256k,512k", "--schedule", "auto"])
     assert code == 0
@@ -386,6 +400,7 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["quant-report", "--input", write("shape_text", '{"shape": "ab", "data": [1.0, 2.0]}')],
         ["quant-report", "--input", write("shape_fraction", '{"shape": [2, 2.5], "data": [1.0]}')],
         ["spike-report", "--input", write("tensor_list", "[1, 2]")],
+        ["spike-report", "--input", str(no_columns)],
     ]
     for argv in cases + files:
         assert exit_code(argv) == 2, argv

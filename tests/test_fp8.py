@@ -7,10 +7,12 @@ fractions.Fraction) instead of the module's (1 + m/8) * 2^(e-7) product.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import int64_tile_product
 
 from dssalab.fp8 import (
     CODEPOINTS,
@@ -220,15 +222,57 @@ def test_quantize_validation():
         fp8_quantize(np.ones((2, 4)), group_size=0)
 
 
-def test_matmul_emulated_plain_and_quantized_weights():
+def test_matmul_emulated_quantized_weights():
     rng = np.random.default_rng(42)
     x = rng.normal(0.0, 2.0, size=(6, 16))
     w = rng.normal(0.0, 0.5, size=(16, 5))
     qa = fp8_quantize(x, group_size=8)
-    got = fp8_matmul_emulated(qa, w)
-    assert np.array_equal(got, qa.dequantize() @ w)
     qw = quantize_weight_blocks(w, block_shape=(8, 8))
-    got_q = fp8_matmul_emulated(qa, qw)
-    assert np.array_equal(got_q, qa.dequantize() @ qw.dequantize())
-    with pytest.raises(ShapeError):
-        fp8_matmul_emulated(qa, np.zeros((4, 3)))
+    got = fp8_matmul_emulated(qa, qw)
+    ref = qa.dequantize() @ qw.dequantize()
+    assert np.all(np.abs(got - ref) <= 1e-12 * max(1.0, float(np.abs(ref).max())))
+    with pytest.raises(ShapeError):  # activation groups of 8 against block rows of 4
+        fp8_matmul_emulated(qa, quantize_weight_blocks(w, block_shape=(4, 8)))
+    with pytest.raises(ShapeError):  # inner dims 16 against 12
+        fp8_matmul_emulated(qa, quantize_weight_blocks(w[:12], block_shape=(8, 8)))
+
+
+# (n, d, m, group = block rows, block cols): partial last groups and blocks,
+# zero rows, a single column, group 4096
+_TILE_SHAPES = [
+    (6, 16, 5, 8, 8),
+    (7, 130, 260, 64, 32),
+    (5, 300, 77, 128, 128),
+    (0, 16, 4, 8, 8),
+    (1, 1, 1, 1, 1),
+    (3, 4100, 3, 4096, 2),
+    (9, 256, 256, 128, 128),
+]
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.0, 1e3])
+@pytest.mark.parametrize("n,d,m,group,block_cols", _TILE_SHAPES)
+def test_matmul_emulated_equals_int64_tile_oracle(n, d, m, group, block_cols, scale):
+    rng = np.random.default_rng(n * 7919 + d)
+    x = rng.standard_normal((n, d)) * scale
+    x[1::4] = 0.0  # all-zero rows keep the neutral group scale
+    qa = fp8_quantize(x, group_size=group)
+    qw = quantize_weight_blocks(rng.standard_normal((d, m)), grid=(1.0, 0.8), block_shape=(group, block_cols))
+    got = fp8_matmul_emulated(qa, qw)
+    assert got.shape == (n, m)
+    assert np.array_equal(got, int64_tile_product(qa, qw))
+
+
+def test_matmul_emulated_memory_is_bounded():
+    # one weight band per activation group: a dequantized 1024x1024 weight
+    # alone would take 8 MiB
+    rng = np.random.default_rng(47)
+    qa = fp8_quantize(rng.standard_normal((64, 1024)), group_size=128)
+    qw = quantize_weight_blocks(rng.standard_normal((1024, 1024)) / 32.0, grid=(1.0,))
+    tracemalloc.start()
+    try:
+        fp8_matmul_emulated(qa, qw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 1024 * 1024, peak

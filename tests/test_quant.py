@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from dssalab.fp8 import encode_array, fp8_quantize
 from dssalab.quant import (
+    BLOCK_MAGIC,
     DEFAULT_CLIP_GRID,
+    GROUP_MAGIC,
     QuantizedBlockMatrix,
     int8_matmul_reference,
     load_block_matrix,
@@ -299,3 +303,20 @@ def test_container_rejects_wrong_magic(tmp_path):
     path.write_bytes(raw[:-1] + b"\x80")
     with pytest.raises(ValueError, match="-128"):
         load_group_activation(path)
+    # a header that claims more than the file holds is rejected before any
+    # read is sized from it; so are bytes appended after the codes
+    block_raw = good.with_name("good_block")
+    save_block_matrix(block_raw, quantize_weight_blocks(rng.standard_normal((8, 8)), block_shape=(4, 4)))
+    for magic, load, claim, rest in (
+        (BLOCK_MAGIC, load_block_matrix, (65536, 65536, 1, 1), 68),
+        (BLOCK_MAGIC, load_block_matrix, (2**32 - 1, 2**32 - 1, 1, 1), 68),
+        (GROUP_MAGIC, load_group_activation, (65536, 65536, 1), 72),
+        (GROUP_MAGIC, load_group_activation, (2**32 - 1, 2**32 - 1, 1), 72),
+    ):
+        path.write_bytes(magic + struct.pack(f"<{len(claim)}I", *claim) + b"\x00" * rest)
+        with pytest.raises(ValueError, match="bad"):
+            load(path)
+    for source, load in ((block_raw, load_block_matrix), (good, load_group_activation)):
+        path.write_bytes(source.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="bad: 1 bytes follow"):
+            load(path)

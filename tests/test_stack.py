@@ -26,8 +26,8 @@ def test_default_plan_counts_and_positions():
     assert len(plan) == 36
     counts = plan.counts()
     assert counts == {"sse_swa": 26, "moba": 9, "fa": 1}
-    assert plan.layers_of("moba") == DEFAULT_MOBA_LAYERS
-    assert plan.layers_of("fa") == DEFAULT_FA_LAYERS
+    for kind, layers in (("moba", DEFAULT_MOBA_LAYERS), ("fa", DEFAULT_FA_LAYERS)):
+        assert tuple(i for i, item in enumerate(plan.kinds) if item == kind) == layers
 
 
 def test_all_fa_stack_matches_composed_reference():
