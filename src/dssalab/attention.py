@@ -9,8 +9,12 @@ The softmax mechanisms share one kernel, `_attend_rows`: query rows against
 contiguous key rows under a boolean keep mask. `_windowed` runs it over
 chunks of at most ROW_CHUNK query rows, never an n x n array: full attention
 hands a chunk its causal prefix, the sliding window a band of chunk +
-window - 1 keys. MoBA loops over the same chunks itself. A chunk holds every
-row's keys, so no online-softmax rescaling across key tiles is needed.
+window - 1 keys. A chunk's keep mask is fixed by its shape and the window,
+so `_windowed` builds one only when the shape changes: the full chunks whose
+band is not clipped at key 0 share one mask, and a window that covers all of
+a chunk's keys (full attention) needs the causal triangle alone. MoBA loops
+over the same chunks itself. A chunk holds every row's keys, so no
+online-softmax rescaling across key tiles is needed.
 
 `masked_attention` under the dense `causal_keep` and `window_keep` masks is
 the oracle the core is tested against.
@@ -23,8 +27,11 @@ import numpy as np
 from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, softmax_rows
 
 # query rows per chunk of the softmax core: a chunk's score array is at most
-# ROW_CHUNK x (keys it may see), never n x n
-ROW_CHUNK = 256
+# ROW_CHUNK x (keys it may see), never n x n. Picked by measurement over
+# 32..256 on the stack at n=256 (d=8, two heads) and on single heads at
+# n=2048 and 4096 (d=16): 64 to 128 were fastest on both, 64 with the least
+# memory
+ROW_CHUNK = 64
 
 
 def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -64,7 +71,10 @@ def _band_keep(s: int, e: int, lo: int, window: int) -> np.ndarray:
     """Keep mask of queries s..e-1 over keys lo..e-1: query t keeps key j
     iff t - window < j <= t."""
     rows, cols = e - s, e - lo
-    return np.tri(rows, cols, k=s - lo, dtype=bool) & ~np.tri(rows, cols, k=s - lo - window, dtype=bool)
+    keep = np.tri(rows, cols, k=s - lo, dtype=bool)
+    if window < cols:  # else the window reaches back past key lo for every row
+        keep &= ~np.tri(rows, cols, k=s - lo - window, dtype=bool)
+    return keep
 
 
 def _attend_rows(q, k, v, keep) -> np.ndarray:
@@ -76,12 +86,16 @@ def _attend_rows(q, k, v, keep) -> np.ndarray:
 
 
 def _windowed(q, k, v, window: int) -> np.ndarray:
-    # each chunk reads the keys from window - 1 before its first row to its last
+    # each chunk reads the keys from window - 1 before its first row to its
+    # last; its shape (rows, rows + s - lo) and the window fix its mask
     out = np.empty((q.shape[0], v.shape[1]))
+    keep = np.empty((0, 0), dtype=bool)
     for s in range(0, q.shape[0], ROW_CHUNK):
         e = min(s + ROW_CHUNK, q.shape[0])
         lo = max(0, s - window + 1)
-        out[s:e] = _attend_rows(q[s:e], k[lo:e], v[lo:e], _band_keep(s, e, lo, window))
+        if keep.shape != (e - s, e - lo):
+            keep = _band_keep(s, e, lo, window)
+        out[s:e] = _attend_rows(q[s:e], k[lo:e], v[lo:e], keep)
     return ensure_finite(out, "attention")
 
 

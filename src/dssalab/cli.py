@@ -122,6 +122,10 @@ def _swa_via_mask(q, k, v, window: int, fault: bool) -> np.ndarray:
 
 
 def cmd_attn_check(args) -> int:
+    if args.inject_fault and max(args.sizes) < 2:
+        # the fault drops the last row's first key, so it is injected only at
+        # n >= 2, where that row keeps another
+        raise ValueError("--inject-fault needs a length of at least 2 in --sizes")
     rng = np.random.default_rng(args.seed)
     errors = {
         "linear_parallel_vs_recurrent": 0.0,

@@ -8,9 +8,10 @@ the usual causal mask.
 
 The attention runs over attention.ROW_CHUNK query rows at a time. A chunk
 whose causal prefix is no wider than top_k * block_size keys has selected
-every block it can see, so it reads the prefix as full attention does. Any
-other chunk gathers each query's selected blocks from keys and values laid
-out in blocks, at O(n * top_k * block_size * d), not O(n^2 * d).
+every block it can see, so it reads the prefix as full attention does, under
+the causal triangle alone. Any other chunk gathers each query's selected
+blocks from keys and values laid out in blocks, at
+O(n * top_k * block_size * d), not O(n^2 * d).
 """
 
 from __future__ import annotations

@@ -30,6 +30,9 @@ FEATURE_MAPS = ("identity", "silu")
 # of 16..256 both at the stack's n=256, N*d=32 and at n=4096, N*d=64
 CHUNK = 64
 
+# causal mask of a full chunk; a shorter last chunk takes its leading corner
+_CAUSAL = np.tri(CHUNK, dtype=bool)
+
 
 @dataclass(frozen=True)
 class SSEParams:
@@ -90,7 +93,8 @@ def _chunked_scan(q, k, v) -> np.ndarray:
     out = np.empty((q.shape[0], v.shape[1]))
     for s in range(0, q.shape[0], CHUNK):
         qc, kc, vc = q[s : s + CHUNK], k[s : s + CHUNK], v[s : s + CHUNK]
-        out[s : s + CHUNK] = np.tril(qc @ kc.T) @ vc + qc @ state
+        causal = _CAUSAL[: len(qc), : len(qc)]
+        out[s : s + CHUNK] = np.where(causal, qc @ kc.T, 0.0) @ vc + qc @ state
         state += kc.T @ vc
     return out
 

@@ -3,8 +3,20 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
+from hypothesis import strategies as st
 
+from dssalab.attention import ROW_CHUNK
 from dssalab.stack import DEFAULT_MOBA_LAYERS, SensitivityProfile
+
+# property tests draw the same examples on every run and keep no example
+# database, so Tier-1 stays deterministic and writes nothing to the checkout
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=100)
+settings.load_profile("tier1")
+
+# sequence lengths k * ROW_CHUNK - 1, k * ROW_CHUNK and k * ROW_CHUNK + 1 for
+# k = 1..3: the last chunk is one row short of full, full, or a single row
+chunk_edge_lengths = st.builds(lambda k, d: k * ROW_CHUNK + d, st.integers(1, 3), st.integers(-1, 1))
 
 
 def _exact_tiles(a_units, unit: float, dtype, qa, qw) -> np.ndarray:

@@ -4,7 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import chunk_edge_lengths
 from dssalab import attention
 from dssalab.attention import (
     ROW_CHUNK,
@@ -153,6 +156,27 @@ def test_chunked_core_matches_masked_oracle():
         for window in (1, ROW_CHUNK // 2, ROW_CHUNK + 37, n, n + 5):
             got = swa(q, k, v, window)
             assert np.max(np.abs(got - masked_attention(q, k, v, window_keep(n, window)))) < 1e-12
+
+
+@st.composite
+def _length_and_window(draw):
+    n = draw(chunk_edge_lengths)
+    # windows next to a chunk's or the sequence's length set where a chunk's
+    # band starts and whether it clips, so they are drawn half the time
+    near = draw(st.sampled_from((ROW_CHUNK, n)))
+    return n, draw(st.one_of(st.integers(1, 600), st.integers(max(1, near - 2), near + 2)))
+
+
+@given(case=_length_and_window(), seed=st.integers(0, 2**32 - 1))
+def test_chunk_edges_match_masked_oracle_property(case, seed):
+    n, window = case
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal((n, 8)) for _ in range(3))
+    for got, keep in ((full_attention(q, k, v), causal_keep(n)), (swa(q, k, v, window), window_keep(n, window))):
+        want = masked_attention(q, k, v, keep)
+        if n <= ROW_CHUNK:  # one chunk is the oracle's own computation
+            assert np.array_equal(got, want)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_attention_memory_stays_below_quarter_n_squared():

@@ -376,9 +376,10 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["layer-select", "--profile", str(profile_path), "--threshold", "nan"],
         ["layer-select", "--profile", str(profile_path), "--threshold", "inf"],
     ]
-    # malformed JSON documents and a lone query or key file: the error line
-    # must also name the file
+    # malformed JSON documents, a lone query or key file, and a fault that no
+    # size can carry: the error line must also name the file or option argv[2]
     files = [
+        ["attn-check", "--inject-fault", "--sizes", "1"],
         ["moba-trace", "--queries", str(q4x4)],
         ["moba-trace", "--keys", str(k3x4)],
         ["loss-check", "--fixture",

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import chunk_edge_lengths
 from dssalab.attention import ROW_CHUNK, causal_keep, full_attention, masked_attention
 from dssalab.moba import (
     MobaParams,
@@ -198,6 +201,26 @@ def test_forward_gather_matches_masked_form():
     q, k, v = (rng.standard_normal((n, 16)) for _ in range(3))
     p = MobaParams(block_size=64, top_k=4)
     assert np.max(np.abs(moba_forward(q / 4.0, k, v, p) - masked_form(q / 4.0, k, v, p))) < 1e-12
+
+
+@st.composite
+def _length_and_params(draw):
+    # a chunk reads its causal prefix iff top_k * b covers its last row, so
+    # top_k * b is drawn next to a multiple of ROW_CHUNK: the first chunks
+    # read their prefix and the rest gather
+    n = draw(chunk_edge_lengths)
+    b = draw(st.integers(1, 2 * ROW_CHUNK))
+    prefix_chunks = draw(st.integers(0, 3))
+    top_k = max(1, -(-prefix_chunks * ROW_CHUNK // b) + draw(st.integers(-1, 1)))
+    return n, MobaParams(block_size=b, top_k=top_k)
+
+
+@given(case=_length_and_params(), seed=st.integers(0, 2**32 - 1))
+def test_forward_matches_masked_form_property(case, seed):
+    n, p = case
+    rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal((n, 8)) for _ in range(3))
+    assert np.max(np.abs(moba_forward(q, k, v, p) - masked_form(q, k, v, p))) < 1e-12
 
 
 def test_forward_selecting_all_is_full_attention_bit_for_bit():

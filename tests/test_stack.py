@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_dip_profile
-from dssalab.attention import full_attention
+from dssalab import stack
+from dssalab.attention import ROW_CHUNK, causal_keep, full_attention, masked_attention, window_keep
 from dssalab.stack import (
     DEFAULT_FA_LAYERS,
     DEFAULT_MOBA_LAYERS,
@@ -55,6 +56,28 @@ def test_all_fa_stack_matches_composed_reference():
         normed = rms_norm(hidden, lw["norm_mlp"])
         hidden = hidden + (silu(normed @ lw["mlp_w1"]) * (normed @ lw["mlp_w3"])) @ lw["mlp_w2"]
     assert np.max(np.abs(got - hidden)) < 1e-12
+
+
+def test_default_stack_across_chunk_edges_matches_dense_masks(monkeypatch):
+    # the benchmark's stack at lengths on both sides of a chunk edge, against
+    # the same stack with every softmax mechanism swapped for the dense oracle
+    config = StackConfig()
+    params = init_stack_params(default_plan(), config, seed=0)
+    rng = np.random.default_rng(23)
+    lengths = (ROW_CHUNK - 1, ROW_CHUNK + 1, 256, 600)
+    xs = [rng.normal(0.0, 1.0, (n, config.d_model)) for n in lengths]
+    got = [stack_forward(x, params, config).hidden for x in xs]
+    assert config.moba_block_size >= max(lengths)  # one block: MoBA is full attention
+
+    def dense(q, k, v):
+        return masked_attention(q, k, v, causal_keep(len(q)))
+
+    monkeypatch.setattr(stack, "full_attention", dense)
+    monkeypatch.setattr(stack, "moba_forward", lambda q, k, v, p: dense(q, k, v))
+    monkeypatch.setattr(stack, "swa", lambda q, k, v, w: masked_attention(q, k, v, window_keep(len(q), w)))
+    for x, hidden in zip(xs, got):
+        want = stack_forward(x, params, config).hidden
+        assert np.max(np.abs(hidden - want)) <= 1e-12 * np.max(np.abs(want)), x.shape
 
 
 def test_zeroed_attention_layer_passes_input_through():
