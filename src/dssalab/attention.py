@@ -9,12 +9,10 @@ The softmax mechanisms share one kernel, `_attend_rows`: query rows against
 contiguous key rows under a boolean keep mask. `_windowed` runs it over
 chunks of at most ROW_CHUNK query rows, never an n x n array: full attention
 hands a chunk its causal prefix, the sliding window a band of chunk +
-window - 1 keys. A chunk's keep mask is fixed by its shape and the window,
-so `_windowed` builds one only when the shape changes: the full chunks whose
-band is not clipped at key 0 share one mask, and a window that covers all of
-a chunk's keys (full attention) needs the causal triangle alone. MoBA loops
-over the same chunks itself. A chunk holds every row's keys, so no
-online-softmax rescaling across key tiles is needed.
+window - 1 keys. Every chunk's keep mask is a view of one band built per
+call, which depends only on the window. MoBA runs its leading rows, which
+select every block they can see, through the same loop. A chunk holds every
+row's keys, so no online-softmax rescaling across key tiles is needed.
 
 `masked_attention` under the dense `causal_keep` and `window_keep` masks is
 the oracle the core is tested against.
@@ -67,16 +65,6 @@ def masked_attention(q, k, v, keep) -> np.ndarray:
     return ensure_finite(softmax_rows(scores) @ v, "masked_attention")
 
 
-def _band_keep(s: int, e: int, lo: int, window: int) -> np.ndarray:
-    """Keep mask of queries s..e-1 over keys lo..e-1: query t keeps key j
-    iff t - window < j <= t."""
-    rows, cols = e - s, e - lo
-    keep = np.tri(rows, cols, k=s - lo, dtype=bool)
-    if window < cols:  # else the window reaches back past key lo for every row
-        keep &= ~np.tri(rows, cols, k=s - lo - window, dtype=bool)
-    return keep
-
-
 def _attend_rows(q, k, v, keep) -> np.ndarray:
     """Query row i attends key row j iff keep[i, j]; each row keeps at least
     one key. Its arrays are freed before the next chunk's."""
@@ -86,16 +74,17 @@ def _attend_rows(q, k, v, keep) -> np.ndarray:
 
 
 def _windowed(q, k, v, window: int) -> np.ndarray:
-    # each chunk reads the keys from window - 1 before its first row to its
-    # last; its shape (rows, rows + s - lo) and the window fix its mask
+    # band[i, j] keeps key s - w + 1 + j for query s + i, whatever the chunk
+    # start s; a chunk reads keys lo..e-1, the band's columns from off on
+    w = max(1, min(window, q.shape[0]))
+    band = np.tri(ROW_CHUNK, ROW_CHUNK + w - 1, k=w - 1, dtype=bool)
+    band &= ~np.tri(ROW_CHUNK, ROW_CHUNK + w - 1, k=-1, dtype=bool)
     out = np.empty((q.shape[0], v.shape[1]))
-    keep = np.empty((0, 0), dtype=bool)
     for s in range(0, q.shape[0], ROW_CHUNK):
         e = min(s + ROW_CHUNK, q.shape[0])
-        lo = max(0, s - window + 1)
-        if keep.shape != (e - s, e - lo):
-            keep = _band_keep(s, e, lo, window)
-        out[s:e] = _attend_rows(q[s:e], k[lo:e], v[lo:e], keep)
+        lo = max(0, s - w + 1)
+        off = lo - s + w - 1
+        out[s:e] = _attend_rows(q[s:e], k[lo:e], v[lo:e], band[: e - s, off : off + e - lo])
     return ensure_finite(out, "attention")
 
 

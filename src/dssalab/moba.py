@@ -6,11 +6,11 @@ position, keeps its own block unconditionally plus the best-scoring others,
 and runs exact softmax attention over the tokens of the kept blocks under
 the usual causal mask.
 
-The attention runs over attention.ROW_CHUNK query rows at a time. A chunk
-whose causal prefix is no wider than top_k * block_size keys has selected
-every block it can see, so it reads the prefix as full attention does, under
-the causal triangle alone. Any other chunk gathers each query's selected
-blocks from keys and values laid out in blocks, at
+The attention runs over attention.ROW_CHUNK query rows at a time. The
+leading chunks whose causal prefix is no wider than top_k * block_size keys
+have selected every block they can see, so they run through full
+attention's own chunk loop. The chunks after them gather each query's
+selected blocks from keys and values laid out in blocks, at
 O(n * top_k * block_size * d), not O(n^2 * d).
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import ROW_CHUNK, _attend_rows, _band_keep, _check_qkv
+from .attention import ROW_CHUNK, _check_qkv, _windowed
 from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, softmax_rows, top_k_mask
 
 
@@ -118,19 +118,19 @@ def moba_forward(q, k, v, params: MobaParams) -> np.ndarray:
     selected = moba_select(q, block_pool_keys(k, b), params)
     nb = selected.shape[1]
     slots = min(params.top_k, nb)
-    # each query's selected blocks first, in ascending order; a query that
-    # selects fewer than `slots` sees fewer blocks, so its spare slots hold
-    # future blocks, which the causal mask removes
-    order = np.argsort(~selected, axis=1, kind="stable")[:, :slots]
-    if slots * b < n:  # some chunk gathers: lay keys and values out in blocks
-        k_blocks, v_blocks = (np.pad(x, ((0, nb * b - n), (0, 0))).reshape(nb, b, -1) for x in (k, v))
+    # rows before m see no more blocks than they select: they attend fully
+    m = n if slots * b >= n else slots * b // ROW_CHUNK * ROW_CHUNK
     out = np.empty((n, v.shape[1]))
-    for s in range(0, n, ROW_CHUNK):
-        e = min(s + ROW_CHUNK, n)
-        if slots * b >= e:  # no query here sees more blocks than it selects
-            out[s:e] = _attend_rows(q[s:e], k[:e], v[:e], _band_keep(s, e, 0, e))
-        else:
-            out[s:e] = _gather_rows(q[s:e], k_blocks, v_blocks, order[s:e], s)
+    out[:m] = _windowed(q[:m], k[:m], v[:m], m)
+    if m < n:
+        # each query's selected blocks first, in ascending order; a query that
+        # selects fewer than `slots` sees fewer blocks, so its spare slots hold
+        # future blocks, which the causal mask removes
+        order = np.argsort(~selected[m:], axis=1, kind="stable")[:, :slots]
+        k_blocks, v_blocks = (np.pad(x, ((0, nb * b - n), (0, 0))).reshape(nb, b, -1) for x in (k, v))
+        for s in range(m, n, ROW_CHUNK):
+            e = min(s + ROW_CHUNK, n)
+            out[s:e] = _gather_rows(q[s:e], k_blocks, v_blocks, order[s - m : e - m], s)
     return ensure_finite(out, "attention")
 
 

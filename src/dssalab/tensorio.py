@@ -42,18 +42,19 @@ def read_json(path, build):
     The one reader of JSON input; build only converts the parsed object.
     A structure build cannot take (a missing key, null where a number
     belongs, a scalar where a list belongs), text that is not JSON, a top
-    level that is not an object, and NaN or infinite numbers all raise
-    ValueError naming the file.
+    level that is not an object, NaN or infinite numbers, bytes that are not
+    UTF-8, and nesting too deep for the parser all raise ValueError naming
+    the file.
     """
-    text = Path(path).read_text()
     try:
+        text = Path(path).read_text(encoding="utf-8")
         obj = json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
         if not isinstance(obj, dict):
             raise TypeError(f"top level is a {type(obj).__name__}, not an object")
         return build(obj)
     except KeyError as exc:
         raise ValueError(f"malformed JSON file {path}: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"malformed JSON file {path}: {exc}") from None
 
 

@@ -184,19 +184,24 @@ def test_attention_memory_stays_below_quarter_n_squared():
     n, d = 2048, 16
     rng = np.random.default_rng(20)
     q, k, v = (rng.standard_normal((n, d)) for _ in range(3))
+    quarter = n * n * 8 / 4
     calls = {
-        "full_attention": lambda: full_attention(q, k, v),
-        "swa": lambda: swa(q, k, v, 128),
-        "moba_forward": lambda: moba_forward(q, k, v, MobaParams(block_size=64, top_k=4)),
+        "full_attention": (lambda: full_attention(q, k, v), quarter),
+        "swa": (lambda: swa(q, k, v, 128), quarter),
+        "moba_forward": (lambda: moba_forward(q, k, v, MobaParams(block_size=64, top_k=4)), quarter),
+        # a window far past n costs what full attention costs: the keep band
+        # is at most as wide as the sequence, never as the window
+        "swa at n=5, window 2**40": (lambda: swa(q[:5], k[:5], v[:5], 2**40), 2**20),
     }
-    for name, call in calls.items():
+    for name, (call, bound) in calls.items():
         tracemalloc.start()
         try:
-            call()
+            out = call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n * n * 8 / 4, (name, peak)
+        assert peak < bound, (name, peak)
+    assert np.array_equal(out, full_attention(q[:5], k[:5], v[:5]))
 
 
 def test_attention_numerics_errors():

@@ -336,6 +336,9 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
 
     plan_scalar = write("plan_scalar", '{"kinds": "fa"}')
     plan_list = write("plan_list", '["fa", "moba"]')
+    deep = "[" * 200_000 + "]" * 200_000  # deeper than the JSON parser recurses
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'{"shape": [1], "data": [1.0]}\xff\xfe')
     q4x4, k3x2, k3x4 = (tmp_path / f"{name}.json" for name in ("q4x4", "k3x2", "k3x4"))
     tensorio.save_tensor_json(str(q4x4), np.ones((4, 4)))
     tensorio.save_tensor_json(str(k3x2), np.ones((3, 2)))
@@ -402,6 +405,9 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["quant-report", "--input", write("shape_fraction", '{"shape": [2, 2.5], "data": [1.0]}')],
         ["spike-report", "--input", write("tensor_list", "[1, 2]")],
         ["spike-report", "--input", str(no_columns)],
+        ["plan-show", "--plan", write("plan_deep", '{"kinds": ' + deep + "}")],
+        ["spike-report", "--input", write("tensor_deep", '{"shape": [1], "data": ' + deep + "}")],
+        ["quant-report", "--input", str(not_utf8)],
     ]
     for argv in cases + files:
         assert exit_code(argv) == 2, argv

@@ -220,7 +220,13 @@ def test_forward_matches_masked_form_property(case, seed):
     n, p = case
     rng = np.random.default_rng(seed)
     q, k, v = (rng.standard_normal((n, 8)) for _ in range(3))
-    assert np.max(np.abs(moba_forward(q, k, v, p) - masked_form(q, k, v, p))) < 1e-12
+    got = moba_forward(q, k, v, p)
+    assert np.max(np.abs(got - masked_form(q, k, v, p))) < 1e-12
+    # the whole chunks that top_k * b covers are full attention's own chunks,
+    # so a split off by one chunk either way changes bits the bound cannot see
+    covered = min(p.top_k, num_blocks(n, p.block_size)) * p.block_size
+    m = n if covered >= n else covered // ROW_CHUNK * ROW_CHUNK
+    assert np.array_equal(got[:m], full_attention(q, k, v)[:m])
 
 
 def test_forward_selecting_all_is_full_attention_bit_for_bit():

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dssalab.attention import linear_attention_recurrent
 from dssalab.sse import CHUNK, SSEParams, sse_forward, sse_gate
@@ -11,6 +13,12 @@ from dssalab.tensor_ops import NumericsError, ShapeError, l2_normalize_rows, sil
 
 # lengths around the chunk boundaries of the scan
 CHUNK_LENGTHS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+
+# the option sets the scan is checked under against manual_scan
+OPTION_SETS = (
+    {}, {"always_selected": 1}, {"feature_map": "silu"}, {"qk_l2_norm": True},
+    {"always_selected": 3, "feature_map": "silu", "qk_l2_norm": True},
+)
 
 
 def make_params(rng, d, num_partitions=4, top_k=2, **kw):
@@ -132,20 +140,34 @@ def test_forward_matches_manual_scan_oracle():
     # 41 rows fit one chunk; the chunk lengths carry state across chunk edges
     rng = np.random.default_rng(13)
     d, num, k_sel = 3, 4, 2
-    options_grid = (
-        {}, {"always_selected": 1}, {"feature_map": "silu"}, {"qk_l2_norm": True},
-        {"always_selected": 3, "feature_map": "silu", "qk_l2_norm": True},
-    )
     for n in (41, *CHUNK_LENGTHS):
         x = rng.standard_normal((n, d))
         q, kk, v = (rng.standard_normal((n, d)) for _ in range(3))
-        for options in options_grid:
+        for options in OPTION_SETS:
             p = make_params(np.random.default_rng(99), d, num_partitions=num, top_k=k_sel, **options)
             got = sse_forward(x, q, kk, v, p)
             outputs, selections, freqs = manual_scan(x, q, kk, v, p)
             assert [list(np.flatnonzero(row)) for row in got.selected] == selections, (n, options)
             assert np.abs(got.outputs - outputs).max(initial=0.0) < 1e-12, (n, options)
             assert np.abs(got.freqs - freqs).max(initial=0.0) < 1e-15, (n, options)
+
+
+# lengths k * CHUNK - 1, k * CHUNK and k * CHUNK + 1 for k = 1..3: the last
+# chunk of the scan is one row short of full, full, or a single row
+@given(
+    n=st.builds(lambda k, d: k * CHUNK + d, st.integers(1, 3), st.integers(-1, 1)),
+    options=st.sampled_from(OPTION_SETS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chunk_edges_match_manual_scan_property(n, options, seed):
+    rng = np.random.default_rng(seed)
+    x, q, k, v = (rng.standard_normal((n, 3)) for _ in range(4))
+    p = make_params(rng, 3, num_partitions=4, top_k=2, **options)
+    got = sse_forward(x, q, k, v, p)
+    outputs, selections, freqs = manual_scan(x, q, k, v, p)
+    assert [list(np.flatnonzero(row)) for row in got.selected] == selections
+    assert np.abs(got.outputs - outputs).max() < 1e-12
+    assert np.abs(got.freqs - freqs).max() < 1e-15
 
 
 def test_running_freq_uses_after_update_convention():
