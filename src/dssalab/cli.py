@@ -280,7 +280,7 @@ def cmd_plan_show(args) -> int:
 
 
 def _profile(obj: dict) -> stack.SensitivityProfile:
-    scores = tuple(float(s) for s in tensorio.json_list(obj, "scores"))
+    scores = tuple(map(tensorio.json_number, tensorio.json_list(obj, "scores")))
     return stack.SensitivityProfile(scores=scores)
 
 
@@ -317,7 +317,7 @@ def _loss_fixture(obj: dict) -> tuple[str, dict[str, float]]:
         raise ValueError(f"unknown loss mode {mode!r}")
     _, parts, coeffs = LOSS_MODES[mode]
     given = parts + tuple(name for name in coeffs if name in obj)
-    return mode, {name: float(obj[name]) for name in given}
+    return mode, {name: tensorio.json_number(obj[name]) for name in given}
 
 
 def _demo_loss_fixture(seed: int) -> dict:

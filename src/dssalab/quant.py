@@ -17,19 +17,21 @@ Serialized container layouts (all little-endian):
 * group activation: magic ``QGRPI8\\x00\\x00``, u32 nrows, u32 ncols,
   u32 group_size, f32 scales (row-major), int8 codes (row-major).
 
-Both loaders reject the int8 code -128, a header that claims more bytes
-than the file holds, and bytes after the codes.
+Both go through tensorio's one binary writer and checked reader, which
+reject a header that claims more bytes than the file holds and bytes after
+the codes; the loaders add a positive block shape and group size, and no
+int8 code -128.
 """
 
 from __future__ import annotations
 
-import os
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor_ops import ShapeError, as_f64, ensure_finite
+from .tensorio import _BinReader, _write_bin
 
 BLOCK_MAGIC = b"QBLKI8\x00\x00"
 GROUP_MAGIC = b"QGRPI8\x00\x00"
@@ -227,76 +229,41 @@ def int8_matmul_reference(a: QuantizedGroupActivation, w: QuantizedBlockMatrix) 
 
 
 def save_block_matrix(path, qw: QuantizedBlockMatrix) -> None:
-    with open(path, "wb") as fh:
-        fh.write(BLOCK_MAGIC)
-        fh.write(struct.pack("<4I", *qw.codes.shape, *qw.block_shape))
-        fh.write(qw.scales.astype("<f4").tobytes())
-        fh.write(qw.clips.astype("<f4").tobytes())
-        fh.write(qw.codes.astype("<i1").tobytes())
+    _write_bin(path, BLOCK_MAGIC, [*qw.codes.shape, *qw.block_shape],
+               qw.scales.astype("<f4"), qw.clips.astype("<f4"), qw.codes.astype("<i1"))
 
 
-def _bytes_left(fh) -> int:
-    return os.fstat(fh.fileno()).st_size - fh.tell()
-
-
-def _read(fh, size: int, path) -> bytes:
-    # checked before reading: a header can claim far more than the file holds
-    left = _bytes_left(fh)
-    if size > left:
-        raise ValueError(f"{path}: truncated, a read of {size} bytes finds {left} left")
-    return fh.read(size)
-
-
-def _read_codes(fh, size: int, path) -> np.ndarray:
+def _take_codes(r: _BinReader, shape: tuple[int, int]) -> np.ndarray:
     """The codes that end a container: a -128 code breaks the 7-plane spike
     coding and the int32 accumulator bound, and no bytes may follow."""
-    codes = np.frombuffer(_read(fh, size, path), dtype="<i1").astype(np.int8)
+    codes = r.take("<i1", math.prod(shape))
+    r.end()
     if codes.min(initial=0) < -127:
-        raise ValueError(f"{path}: a code of -128 lies outside [-127, 127]")
-    extra = _bytes_left(fh)
-    if extra:
-        raise ValueError(f"{path}: {extra} bytes follow the codes")
-    return codes
+        raise r.error("a code of -128 lies outside [-127, 127]")
+    return codes.astype(np.int8).reshape(shape)
 
 
 def load_block_matrix(path) -> QuantizedBlockMatrix:
-    with open(path, "rb") as fh:
-        if fh.read(8) != BLOCK_MAGIC:
-            raise ValueError(f"{path}: not a block-matrix container")
-        nrows, ncols, rs, cs = struct.unpack("<4I", _read(fh, 16, path))
-        if rs < 1 or cs < 1:
-            raise ValueError(f"{path}: block shape {(rs, cs)} in the header is not positive")
-        nbr, nbc = (nrows + rs - 1) // rs, (ncols + cs - 1) // cs
-        scales = np.frombuffer(_read(fh, 4 * nbr * nbc, path), dtype="<f4").astype(np.float64)
-        clips = np.frombuffer(_read(fh, 4 * nbr * nbc, path), dtype="<f4").astype(np.float64)
-        codes = _read_codes(fh, nrows * ncols, path)
-    return QuantizedBlockMatrix(
-        codes=codes.reshape(nrows, ncols),
-        scales=scales.reshape(nbr, nbc),
-        clips=clips.reshape(nbr, nbc),
-        mse=np.zeros((nbr, nbc)),
-        block_shape=(rs, cs),
-    )
+    r = _BinReader(path, BLOCK_MAGIC)
+    nrows, ncols, rs, cs = r.take("<u4", 4).tolist()
+    if rs < 1 or cs < 1:
+        raise r.error(f"block shape {(rs, cs)} in the header is not positive")
+    grid = ((nrows + rs - 1) // rs, (ncols + cs - 1) // cs)
+    scales, clips = r.take("<f4", 2 * math.prod(grid)).astype(np.float64).reshape(2, *grid)
+    codes = _take_codes(r, (nrows, ncols))
+    return QuantizedBlockMatrix(codes, scales, clips, mse=np.zeros(grid), block_shape=(rs, cs))
 
 
 def save_group_activation(path, qa: QuantizedGroupActivation) -> None:
-    with open(path, "wb") as fh:
-        fh.write(GROUP_MAGIC)
-        fh.write(struct.pack("<3I", *qa.codes.shape, qa.group_size))
-        fh.write(qa.scales.astype("<f4").tobytes())
-        fh.write(qa.codes.astype("<i1").tobytes())
+    _write_bin(path, GROUP_MAGIC, [*qa.codes.shape, qa.group_size],
+               qa.scales.astype("<f4"), qa.codes.astype("<i1"))
 
 
 def load_group_activation(path) -> QuantizedGroupActivation:
-    with open(path, "rb") as fh:
-        if fh.read(8) != GROUP_MAGIC:
-            raise ValueError(f"{path}: not a group-activation container")
-        n, d, gs = struct.unpack("<3I", _read(fh, 12, path))
-        if gs < 1:
-            raise ValueError(f"{path}: group size {gs} in the header is not positive")
-        n_groups = (d + gs - 1) // gs
-        scales = np.frombuffer(_read(fh, 4 * n * n_groups, path), dtype="<f4").astype(np.float64)
-        codes = _read_codes(fh, n * d, path)
-    return QuantizedGroupActivation(
-        codes=codes.reshape(n, d), scales=scales.reshape(n, n_groups), group_size=gs
-    )
+    r = _BinReader(path, GROUP_MAGIC)
+    n, d, gs = r.take("<u4", 3).tolist()
+    if gs < 1:
+        raise r.error(f"group size {gs} in the header is not positive")
+    grid = (n, (d + gs - 1) // gs)
+    scales = r.take("<f4", math.prod(grid)).astype(np.float64).reshape(grid)
+    return QuantizedGroupActivation(codes=_take_codes(r, (n, d)), scales=scales, group_size=gs)

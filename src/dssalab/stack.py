@@ -34,11 +34,13 @@ DEFAULT_FA_LAYERS = (35,)
 
 @dataclass(frozen=True)
 class LayerPlan:
-    """Which mechanism runs at each depth."""
+    """Which mechanism runs at each depth; a plan has at least one layer."""
 
     kinds: tuple[str, ...]
 
     def __post_init__(self):
+        if not self.kinds:
+            raise ValueError("a layer plan needs at least one layer")
         for kind in self.kinds:
             if kind not in LAYER_KINDS:
                 raise ValueError(f"unknown layer kind {kind!r}")

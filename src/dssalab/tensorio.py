@@ -1,4 +1,5 @@
-"""Tensor file formats for fixtures, and the one reader of JSON input.
+"""Tensor file formats for fixtures, the one reader of JSON input, and the
+one reader and writer of the binary formats.
 
 JSON (small fixtures):
     {"shape": [...], "data": [...]}   with data flattened row-major
@@ -7,13 +8,16 @@ JSON (small fixtures):
 Binary (larger fixtures):
     8-byte magic b"TNSRF32\\0", u32 rank, u32 dims[rank], then the payload
     as little-endian float32, row-major. Integers are little-endian.
+
+This binary file and quant's two INT8 containers share one layout (magic,
+u32 header, payload arrays), one writer (_write_bin) and one checked
+reader (_BinReader).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -66,44 +70,77 @@ def json_list(obj: dict, key: str) -> list:
     return value
 
 
+def json_number(value) -> float:
+    """value as a float; it must be a JSON number (an int or a float, never a
+    bool or a string); for the builders of read_json."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _tensor(obj: dict) -> np.ndarray:
     shape = json_list(obj, "shape")
     if not all(type(dim) is int and dim >= 0 for dim in shape):
         raise TypeError(f"shape must hold non-negative integers, got {shape}")
-    data = np.asarray(obj["data"], dtype=np.float64)
+    data = np.asarray(obj["data"], dtype=object)
     if math.prod(shape) != data.size:
         raise ValueError(f"shape {shape} does not match {data.size} values")
-    return data.reshape(shape)
+    return np.fromiter(map(json_number, data.flat), np.float64, data.size).reshape(shape)
 
 
 def load_tensor_json(path) -> np.ndarray:
     return ensure_finite(read_json(path, _tensor), f"tensor file {path}")
 
 
+def _write_bin(path, magic: bytes, header, *arrays: np.ndarray) -> None:
+    """Write magic, the header as little-endian u32, then each array's bytes."""
+    parts = [magic, np.asarray(header, dtype="<u4").tobytes(), *(a.tobytes() for a in arrays)]
+    Path(path).write_bytes(b"".join(parts))
+
+
+class _BinReader:
+    """Reads, in order, from a binary file that starts with magic. Each read is
+    checked against the bytes left before it is sized; errors name the file."""
+
+    def __init__(self, path, magic: bytes):
+        self.path = path
+        self.raw = Path(path).read_bytes()
+        if self.raw[: len(magic)] != magic:
+            raise self.error(f"does not start with the magic {magic!r}")
+        self.pos = len(magic)
+
+    def error(self, message: str) -> ValueError:
+        return ValueError(f"{self.path}: {message}")
+
+    def take(self, dtype, count: int) -> np.ndarray:
+        """The next count values of dtype, as a read-only view; a u32 header
+        field must go through .tolist() before it sizes anything."""
+        size, left = np.dtype(dtype).itemsize * count, len(self.raw) - self.pos
+        if size > left:
+            raise self.error(f"truncated, a read of {size} bytes finds {left} left")
+        out = np.frombuffer(self.raw, dtype=dtype, count=count, offset=self.pos)
+        self.pos += size
+        return out
+
+    def end(self) -> None:
+        """Reject bytes after the last read."""
+        extra = len(self.raw) - self.pos
+        if extra:
+            raise self.error(f"{extra} bytes follow the last field")
+
+
 def save_tensor_bin(path, x) -> None:
     x = np.asarray(x, dtype=np.float32)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", x.ndim))
-        f.write(struct.pack(f"<{x.ndim}I", *x.shape))
-        f.write(x.astype("<f4").tobytes())
+    _write_bin(path, MAGIC, [x.ndim, *x.shape], x.astype("<f4"))
 
 
 def load_tensor_bin(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:8] != MAGIC:
-        raise ValueError(f"bad magic in {path}")
-    if len(raw) < 12:
-        raise ValueError(f"truncated header in {path}")
-    (rank,) = struct.unpack_from("<I", raw, 8)
-    if len(raw) < 12 + 4 * rank:
-        raise ValueError(f"truncated header in {path}: rank {rank} needs {4 * rank} bytes of dims")
-    dims = struct.unpack_from(f"<{rank}I", raw, 12)
-    if len(raw) - (12 + 4 * rank) != 4 * math.prod(dims):
-        raise ValueError(f"payload size mismatch in {path}")
-    data = np.frombuffer(raw, dtype="<f4", offset=12 + 4 * rank)
-    out = data.reshape(dims).astype(np.float64)
-    return ensure_finite(out, f"tensor file {path}")
+    r = _BinReader(path, MAGIC)
+    (rank,) = r.take("<u4", 1).tolist()
+    dims = r.take("<u4", rank).tolist()
+    data = r.take("<f4", math.prod(dims))
+    r.end()
+    return ensure_finite(data.reshape(dims).astype(np.float64), f"tensor file {path}")
 
 
 def load_tensor(path) -> np.ndarray:

@@ -324,6 +324,9 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
     short_payload = tmp_path / "short_payload.bin"
     tensorio.save_tensor_bin(short_payload, np.ones((4, 4)))
     short_payload.write_bytes(short_payload.read_bytes()[:-4])
+    trailing_byte = tmp_path / "trailing_byte.bin"
+    tensorio.save_tensor_bin(trailing_byte, np.ones((4, 4)))
+    trailing_byte.write_bytes(trailing_byte.read_bytes() + b"\x00")
     no_columns = tmp_path / "no_columns.json"
     no_columns.write_text(json.dumps({"shape": [4, 0], "data": []}))
     profile_path = tmp_path / "profile.json"
@@ -408,6 +411,17 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["plan-show", "--plan", write("plan_deep", '{"kinds": ' + deep + "}")],
         ["spike-report", "--input", write("tensor_deep", '{"shape": [1], "data": ' + deep + "}")],
         ["quant-report", "--input", str(not_utf8)],
+        # a number given as a string or a boolean; "nan" as a string; no layers
+        ["layer-select", "--profile", write("profile_nan_text", '{"scores": ["nan", 1.0, 2.0, 3.0]}'),
+         "--threshold", "1.0"],
+        ["layer-select", "--profile", write("profile_inf_text", '{"scores": ["-inf", 1.0, 2.0, 3.0]}'),
+         "--threshold", "1.0"],
+        ["loss-check", "--fixture",
+         write("loss_text_bool", '{"ce": "2", "aux": true, "kd": 0.5, "mse": 0.1}')],
+        ["spike-report", "--input", write("tensor_bool_text", '{"shape": [1, 2], "data": [true, "1.5"]}')],
+        ["plan-show", "--plan", write("plan_empty", '{"kinds": []}')],
+        ["scaling-table", "--plan", write("plan_empty", '{"kinds": []}')],
+        ["spike-report", "--input", str(trailing_byte)],
     ]
     for argv in cases + files:
         assert exit_code(argv) == 2, argv

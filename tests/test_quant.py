@@ -11,6 +11,7 @@ from dssalab.quant import (
     DEFAULT_CLIP_GRID,
     GROUP_MAGIC,
     QuantizedBlockMatrix,
+    QuantizedGroupActivation,
     int8_matmul_reference,
     load_block_matrix,
     load_group_activation,
@@ -320,3 +321,42 @@ def test_container_rejects_wrong_magic(tmp_path):
         path.write_bytes(source.read_bytes() + b"\x00")
         with pytest.raises(ValueError, match="bad: 1 bytes follow"):
             load(path)
+    # a well-formed container read as the other format; a header whose block
+    # shape or group size is 0
+    for source, load in ((block_raw, load_group_activation), (good, load_block_matrix)):
+        path.write_bytes(source.read_bytes())
+        with pytest.raises(ValueError, match="bad: does not start with the magic"):
+            load(path)
+    for blob, load in ((BLOCK_MAGIC + struct.pack("<4I", 1, 1, 0, 1), load_block_matrix),
+                       (BLOCK_MAGIC + struct.pack("<4I", 1, 1, 1, 0), load_block_matrix),
+                       (GROUP_MAGIC + struct.pack("<3I", 1, 1, 0), load_group_activation)):
+        path.write_bytes(blob + b"\x00" * 9)
+        with pytest.raises(ValueError, match="bad: .* is not positive"):
+            load(path)
+
+
+def test_container_formats_are_pinned(tmp_path):
+    # the bytes of one tiny input per container: a writer edit that changes
+    # a format fails here
+    path = tmp_path / "c"
+    qw = QuantizedBlockMatrix(codes=np.array([[1, -127], [0, 127]], dtype=np.int8),
+                              scales=np.array([[0.5]]), clips=np.array([[1.0]]),
+                              mse=np.zeros((1, 1)), block_shape=(2, 2))
+    save_block_matrix(path, qw)
+    assert path.read_bytes() == (
+        b"QBLKI8\x00\x00" b"\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00"
+        b"\x00\x00\x00\x3f" b"\x00\x00\x80\x3f" b"\x01\x81\x00\x7f"
+    )
+    back = load_block_matrix(path)
+    assert np.array_equal(back.codes, qw.codes) and back.block_shape == (2, 2)
+    assert np.array_equal(back.scales, qw.scales) and np.array_equal(back.clips, qw.clips)
+    qa = QuantizedGroupActivation(codes=np.array([[3, -5]], dtype=np.int8),
+                                  scales=np.array([[0.25]]), group_size=2)
+    save_group_activation(path, qa)
+    assert path.read_bytes() == (
+        b"QGRPI8\x00\x00" b"\x01\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00"
+        b"\x00\x00\x80\x3e" b"\x03\xfb"
+    )
+    back = load_group_activation(path)
+    assert np.array_equal(back.codes, qa.codes) and back.group_size == 2
+    assert np.array_equal(back.scales, qa.scales)
