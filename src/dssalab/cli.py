@@ -34,6 +34,7 @@ import numpy as np
 
 from . import costmodel, losses, quant, spike, stack, tensorio
 from .attention import (
+    causal_keep,
     full_attention,
     linear_attention_parallel,
     linear_attention_recurrent,
@@ -42,7 +43,7 @@ from .attention import (
 )
 from .moba import MobaParams, moba_forward, moba_selections
 from .sse import SSEParams, sse_forward
-from .tensor_ops import ShapeError
+from .tensor_ops import NumericsError, ShapeError
 
 SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 1e-10
@@ -121,6 +122,20 @@ def _swa_via_mask(q, k, v, window: int, fault: bool) -> np.ndarray:
     return masked_attention(q, k, v, keep)
 
 
+def _moba_via_mask(q, k, v, params: MobaParams, fault: bool) -> np.ndarray:
+    # the selections expanded to a dense keep mask; the fault drops the last
+    # row's first kept key, which is never its only one at n >= 2
+    n, b = q.shape[0], params.block_size
+    keep = np.zeros((n, n), dtype=bool)
+    for sel in moba_selections(q, k, params):
+        for block in sel.blocks:
+            keep[sel.query_index, block * b : (block + 1) * b] = True
+    keep &= causal_keep(n)
+    if fault and n >= 2:
+        keep[n - 1, np.argmax(keep[n - 1])] = False
+    return masked_attention(q, k, v, keep)
+
+
 def cmd_attn_check(args) -> int:
     if args.inject_fault and max(args.sizes) < 2:
         # the fault drops the last row's first key, so it is injected only at
@@ -131,6 +146,7 @@ def cmd_attn_check(args) -> int:
         "linear_parallel_vs_recurrent": 0.0,
         "sse_single_partition_vs_linear_parallel": 0.0,
         "moba_select_all_vs_full": 0.0,
+        "moba_sparse_vs_masked": 0.0,
         "swa_full_window_vs_full": 0.0,
     }
     fault_pending = args.inject_fault
@@ -157,6 +173,13 @@ def cmd_attn_check(args) -> int:
                 fault = fault_pending and n >= 2
                 if fault:
                     fault_pending = False
+                # about 8 blocks and 4 slots: past n = 4, some rows read
+                # their selection rather than attending fully
+                sparse = MobaParams(block_size=max(1, n // 8), top_k=4)
+                errors["moba_sparse_vs_masked"] = max(
+                    errors["moba_sparse_vs_masked"],
+                    _max_abs_diff(moba_forward(q, k, v, sparse), _moba_via_mask(q, k, v, sparse, fault)),
+                )
                 errors["swa_full_window_vs_full"] = max(
                     errors["swa_full_window_vs_full"],
                     _max_abs_diff(_swa_via_mask(q, k, v, n, fault), full),
@@ -181,7 +204,10 @@ def cmd_quant_report(args) -> int:
     if w.ndim != 2:
         raise ShapeError(f"quant-report needs a 2-D tensor, got shape {w.shape}")
     grid = tuple(float(part) for part in args.grid.split(",") if part)
-    qw = quant.quantize_weight_blocks(w, grid=grid, block_shape=(args.block_size, args.block_size))
+    try:
+        qw = quant.quantize_weight_blocks(w, grid=grid, block_shape=(args.block_size, args.block_size))
+    except NumericsError as exc:  # finite values too large to quantize
+        raise NumericsError(f"tensor file {args.input}: {exc}") from None
     if args.save:
         quant.save_block_matrix(args.save, qw)
     _emit_json(
@@ -388,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=positive_int, default=5)
     p.add_argument("--tolerance", type=finite_non_negative_float, default=DEFAULT_TOLERANCE)
     p.add_argument("--inject-fault", action="store_true",
-                   help="flip one mask bit in the window suite (negative control)")
+                   help="drop one kept key in the window and sparse MoBA suites (negative control)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_attn_check)
 

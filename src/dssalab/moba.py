@@ -6,12 +6,18 @@ position, keeps its own block unconditionally plus the best-scoring others,
 and runs exact softmax attention over the tokens of the kept blocks under
 the usual causal mask.
 
-The attention runs over attention.ROW_CHUNK query rows at a time. The
-leading chunks whose causal prefix is no wider than top_k * block_size keys
-have selected every block they can see, so they run through full
-attention's own chunk loop. The chunks after them gather each query's
-selected blocks from keys and values laid out in blocks, at
-O(n * top_k * block_size * d), not O(n^2 * d).
+The query rows split once, at a multiple m of attention.ROW_CHUNK. Rows
+before m have a causal prefix no wider than top_k * block_size keys, so
+they have selected every block they can see and run through full
+attention's own chunk loop. Only rows from m on are routed, and they run
+block-major, as in MoBA's reference implementation (Lu et al., arXiv
+2502.13189): the rows that took key block j form one dense GEMM against
+it, with the causal triangle only on the rows inside block j. Each row
+keeps one partial softmax per selected block and merges them by
+log-sum-exp, as FlashAttention merges key tiles (Dao et al., arXiv
+2205.14135). The attention is O(n * top_k * block_size * d) work, not
+O(n^2 * d); the partials take O(n * top_k * d) memory, and no score array
+holds more than ROW_CHUNK x n entries, as in full attention.
 """
 
 from __future__ import annotations
@@ -69,8 +75,9 @@ def _check_qk(q, k) -> tuple[np.ndarray, np.ndarray]:
     return q, k
 
 
-def moba_select(q, pooled, params: MobaParams) -> np.ndarray:
-    """Blocks attended by every query, as a bool (n, num_blocks) array.
+def moba_select(q, pooled, params: MobaParams, start: int = 0) -> np.ndarray:
+    """Blocks attended by query rows start, start + 1, ..., as a bool
+    (rows, num_blocks) array.
 
     Query t sees only blocks 0..t//block_size; later ones are masked before
     the gating softmax. The query's own block always occupies one slot; the
@@ -80,7 +87,7 @@ def moba_select(q, pooled, params: MobaParams) -> np.ndarray:
     q = as_f64(q)
     if q.shape[0] == 0:  # no query to route; softmax_rows needs a row
         return np.zeros((0, pooled.shape[0]), dtype=bool)
-    current = np.arange(q.shape[0]) // params.block_size
+    current = np.arange(start, start + q.shape[0]) // params.block_size
     visible = np.arange(pooled.shape[0]) <= current[:, None]
     gates = softmax_rows(np.where(visible, q @ pooled.T, NEG_INF))
     gates[np.arange(q.shape[0]), current] = np.inf  # own block ranks first
@@ -98,39 +105,60 @@ def moba_selections(q, k, params: MobaParams) -> list[BlockSelection]:
     ]
 
 
-def _gather_rows(q, k, v, ids, s: int) -> np.ndarray:
-    """Query row s + i attends blocks ids[i] of k, v laid out (num_blocks, b,
-    d), masked past its position; so are spare slots' future blocks."""
-    rows, b = len(q), k.shape[1]
-    positions = ids[:, :, None] * b + np.arange(b)
-    keep = (positions <= np.arange(s, s + rows)[:, None, None]).reshape(rows, -1)
-    # one (rows, b, d) gather per slot, never all rows' top_k * b keys at once
-    scores = np.concatenate([np.matmul(k[slot], q[:, :, None])[..., 0] for slot in ids.T], axis=1)
-    np.copyto(scores, NEG_INF, where=~keep)
-    weights = softmax_rows(scores, out=scores).reshape(rows, ids.shape[1], 1, b)
-    return sum(np.matmul(weights[:, j], v[slot]) for j, slot in enumerate(ids.T))[:, 0]
+def _sparse_rows(q, k, v, selected, m: int, b: int, slots: int) -> np.ndarray:
+    """Output rows m, m + 1, ...: row m + i attends the blocks selected[i]
+    holds, at most `slots` of them, each up to its own position.
+
+    Block-major: the rows that take key block j form one dense GEMM against
+    it, split so that a score array never holds more than ROW_CHUNK x n
+    entries, full attention's largest chunk. Rows inside block j keep only
+    the keys up to their own position; rows that took j as an earlier block
+    see all of it. Each (row, slot) keeps the partial softmax of one block,
+    its max and its P.V beside its exp-sum, and a row's slots merge by
+    log-sum-exp.
+    """
+    rows, nb = selected.shape
+    blocks, picks = np.nonzero(selected.T)  # block-major, rows ascending in a block
+    bounds = np.searchsorted(blocks, np.arange(nb + 1))
+    t = picks + m
+    v_ones = np.concatenate([v, np.ones((len(v), 1))], axis=1)  # P.V and the exp-sum in one GEMM
+    filled = np.zeros(rows, dtype=np.intp)  # slots each row has filled so far
+    top = np.full((rows, slots), NEG_INF)  # a spare slot weighs exp(-inf) = 0
+    part = np.zeros((rows, slots, v_ones.shape[1]))
+    step = ROW_CHUNK * len(k) // b
+    for j in range(nb):
+        lo, hi = j * b, min((j + 1) * b, len(k))
+        for s in range(bounds[j], bounds[j + 1], step):
+            e = min(s + step, bounds[j + 1])
+            i = picks[s:e]
+            slot = filled[i]
+            filled[i] += 1
+            # keys down, queries across: the reductions run over whole rows
+            scores = k[lo:hi] @ q[t[s:e]].T
+            own = np.searchsorted(t[s:e], hi - 1)  # rows ending inside block j come first
+            np.copyto(scores[:, :own], NEG_INF, where=np.arange(lo, hi)[:, None] > t[s : s + own])
+            row_max = scores.max(axis=0)
+            top[i, slot] = row_max
+            np.subtract(scores, row_max, out=scores)
+            np.exp(scores, out=scores)
+            part[i, slot] = scores.T @ v_ones[lo:hi]
+    merged = np.einsum("rs,rsd->rd", np.exp(top - top.max(axis=1, keepdims=True)), part)
+    return merged[:, :-1] / merged[:, -1:]
 
 
 def moba_forward(q, k, v, params: MobaParams) -> np.ndarray:
     """Exact softmax attention restricted to each query's selected blocks."""
     q, k, v = _check_qkv(q, k, v)
     n, b = q.shape[0], params.block_size
-    selected = moba_select(q, block_pool_keys(k, b), params)
-    nb = selected.shape[1]
-    slots = min(params.top_k, nb)
+    pooled = block_pool_keys(k, b)
+    slots = min(params.top_k, pooled.shape[0])
     # rows before m see no more blocks than they select: they attend fully
     m = n if slots * b >= n else slots * b // ROW_CHUNK * ROW_CHUNK
     out = np.empty((n, v.shape[1]))
     out[:m] = _windowed(q[:m], k[:m], v[:m], m)
+    selected = moba_select(q[m:], pooled, params, m)  # zero rows when m == n
     if m < n:
-        # each query's selected blocks first, in ascending order; a query that
-        # selects fewer than `slots` sees fewer blocks, so its spare slots hold
-        # future blocks, which the causal mask removes
-        order = np.argsort(~selected[m:], axis=1, kind="stable")[:, :slots]
-        k_blocks, v_blocks = (np.pad(x, ((0, nb * b - n), (0, 0))).reshape(nb, b, -1) for x in (k, v))
-        for s in range(m, n, ROW_CHUNK):
-            e = min(s + ROW_CHUNK, n)
-            out[s:e] = _gather_rows(q[s:e], k_blocks, v_blocks, order[s - m : e - m], s)
+        out[m:] = _sparse_rows(q, k, v, selected, m, b, slots)
     return ensure_finite(out, "attention")
 
 

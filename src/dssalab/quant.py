@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import ShapeError, as_f64, ensure_finite
+from .tensor_ops import NumericsError, ShapeError, as_f64, ensure_finite
 from .tensorio import _BinReader, _write_bin
 
 BLOCK_MAGIC = b"QBLKI8\x00\x00"
@@ -141,6 +141,7 @@ def quantize_weight_blocks(
     Per block, each clip coefficient c in the grid gives scale =
     c * max|block| / 127; the c with the smallest reconstruction MSE wins,
     ties going to the larger c. An all-zero block stores zeros at scale 1.
+    A block whose MSE overflows float64 at every c raises NumericsError.
     """
     w = as_f64(w)
     if w.ndim != 2:
@@ -173,9 +174,15 @@ def quantize_weight_blocks(
             for c in grid_desc:
                 scale = c * amax / 127.0
                 cand = _clamp_round(block / scale)
-                err = float(np.mean((cand.astype(np.float64) * scale - block) ** 2))
+                with np.errstate(over="ignore"):  # an error past float64 reads inf and loses
+                    err = float(np.mean((cand.astype(np.float64) * scale - block) ** 2))
                 if best is None or err < best[0]:
                     best = (err, c, scale, cand)
+            if best[0] == np.inf:
+                raise NumericsError(
+                    f"block ({br}, {bc}) with max |w| = {amax:.6g}: its squared quantization "
+                    "error overflows float64 at every clip coefficient"
+                )
             mse[br, bc], clips[br, bc], scales[br, bc], block_codes = best
             codes[r0 : r0 + rs, c0 : c0 + cs] = block_codes
     return QuantizedBlockMatrix(codes=codes, scales=scales, clips=clips, mse=mse, block_shape=block_shape)

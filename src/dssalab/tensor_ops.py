@@ -50,10 +50,23 @@ def softmax_rows(x, out=None) -> np.ndarray:
 
 
 def top_k_mask(x, k: int) -> np.ndarray:
-    """Bool mask of the k largest entries in each row; ties go to the lower index."""
-    order = np.argsort(-as_f64(x), axis=-1, kind="stable")
-    mask = np.zeros(order.shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    """Bool mask of the k largest entries in each row of a 2-D x; ties go to
+    the lower index. x holds no NaN.
+
+    k rounds of argmax, each taking a row's first largest untaken entry. A
+    taken entry is set to -inf, so a round lands on one only when every
+    untaken entry of the row is -inf too; it then takes the first untaken.
+    """
+    x = np.array(x, dtype=np.float64)  # a copy: taken entries are overwritten
+    mask = np.zeros(x.shape, dtype=bool)
+    rows = np.arange(x.shape[0])
+    for _ in range(min(k, x.shape[1])):
+        pick = np.argmax(x, axis=1)
+        taken = mask[rows, pick]
+        if taken.any():
+            pick = np.where(taken, np.argmin(mask, axis=1), pick)
+        mask[rows, pick] = True
+        x[rows, pick] = NEG_INF
     return mask
 
 

@@ -19,6 +19,16 @@ settings.load_profile("tier1")
 chunk_edge_lengths = st.builds(lambda k, d: k * ROW_CHUNK + d, st.integers(1, 3), st.integers(-1, 1))
 
 
+def top_k_mask_sort(x, k: int) -> np.ndarray:
+    """The stable argsort form that tensor_ops.top_k_mask ran before its
+    argmax rounds, kept as their oracle: the k largest entries of each row,
+    ties to the lower index."""
+    order = np.argsort(-np.asarray(x, dtype=np.float64), axis=-1, kind="stable")
+    mask = np.zeros(order.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    return mask
+
+
 def _exact_tiles(a_units, unit: float, dtype, qa, qw) -> np.ndarray:
     """The (group, block-column) tile loop over activation values given as
     integers a_units (value = a_units / unit): each tile sums exactly in

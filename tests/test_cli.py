@@ -58,6 +58,7 @@ def test_attn_check_passes_and_reports():
         "linear_parallel_vs_recurrent",
         "sse_single_partition_vs_linear_parallel",
         "moba_select_all_vs_full",
+        "moba_sparse_vs_masked",
         "swa_full_window_vs_full",
     }
     assert all(p["pass"] for p in blob["properties"])
@@ -72,8 +73,10 @@ def test_attn_check_fault_injection_fails():
     assert blob["pass"] is False
     by_name = {p["name"]: p for p in blob["properties"]}
     assert by_name["swa_full_window_vs_full"]["pass"] is False
-    # the fault only touches the window suite
+    assert by_name["moba_sparse_vs_masked"]["pass"] is False
+    # the fault only touches the window and sparse MoBA suites
     assert by_name["linear_parallel_vs_recurrent"]["pass"] is True
+    assert by_name["moba_select_all_vs_full"]["pass"] is True
 
 
 def test_quant_report_and_container_roundtrip(tmp_path, tensor_file):
@@ -422,6 +425,9 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["plan-show", "--plan", write("plan_empty", '{"kinds": []}')],
         ["scaling-table", "--plan", write("plan_empty", '{"kinds": []}')],
         ["spike-report", "--input", str(trailing_byte)],
+        # finite, but the clip search's squared error overflows float64
+        ["quant-report", "--input",
+         write("tensor_huge", '{"shape": [2, 2], "data": [1e300, -1e300, 3e299, 1]}'), "--block-size", "2"],
     ]
     for argv in cases + files:
         assert exit_code(argv) == 2, argv

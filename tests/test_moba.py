@@ -59,6 +59,17 @@ def test_block_pool_matches_loop_oracle():
             assert np.array_equal(block_pool_keys(k, b), pool_loop(k, b)), (n, b)
 
 
+@given(
+    n=st.integers(1, 3 * ROW_CHUNK + 1),
+    b=st.integers(1, 2 * ROW_CHUNK),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_pool_matches_loop_oracle_property(n, b, d, seed):
+    k = np.random.default_rng(seed).standard_normal((n, d))
+    assert np.array_equal(block_pool_keys(k, b), pool_loop(k, b))
+
+
 def test_block_pool_single_block_is_global_mean():
     rng = np.random.default_rng(1)
     k = rng.standard_normal((6, 3))
@@ -196,7 +207,7 @@ def test_forward_gather_matches_masked_form():
         for p in cases:
             got = moba_forward(q, k, v, p)
             assert np.max(np.abs(got - masked_form(q, k, v, p))) < 1e-12, (n, p)
-    # the attn_long benchmark shape: the first chunk reads its prefix, the rest gather
+    # the attn_long benchmark shape: the first chunks read their prefix, the rest go block-major
     n = 2048
     q, k, v = (rng.standard_normal((n, 16)) for _ in range(3))
     p = MobaParams(block_size=64, top_k=4)
@@ -207,11 +218,16 @@ def test_forward_gather_matches_masked_form():
 def _length_and_params(draw):
     # a chunk reads its causal prefix iff top_k * b covers its last row, so
     # top_k * b is drawn next to a multiple of ROW_CHUNK: the first chunks
-    # read their prefix and the rest gather
-    n = draw(chunk_edge_lengths)
+    # read their prefix and the rest take the block-major path. b is mostly
+    # not a divisor of ROW_CHUNK, n sits next to a chunk edge or a block
+    # edge, and top_k may exceed the block count
     b = draw(st.integers(1, 2 * ROW_CHUNK))
+    blocks = st.integers(1, max(1, 3 * ROW_CHUNK // b))
+    n = draw(chunk_edge_lengths | st.builds(lambda j, d: max(1, j * b + d), blocks, st.integers(-1, 1)))
     prefix_chunks = draw(st.integers(0, 3))
     top_k = max(1, -(-prefix_chunks * ROW_CHUNK // b) + draw(st.integers(-1, 1)))
+    if draw(st.booleans()):
+        top_k = num_blocks(n, b) + draw(st.integers(0, 2))
     return n, MobaParams(block_size=b, top_k=top_k)
 
 
@@ -289,7 +305,7 @@ def test_params_validation():
         moba_forward(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((3, 2)), p)  # v rows differ
     with pytest.raises(ShapeError):
         moba_forward(np.zeros((4, 2)), np.zeros((5, 2)), np.zeros((4, 2)), p)
-    for n in (2, 300):  # a chunk that reads its prefix; chunks that gather
+    for n in (2, 300):  # a chunk that reads its prefix; rows that go block-major
         v = np.ones((n, 2))
         v[n - 2, 0] = np.inf  # in the query's own block, so always attended
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError):

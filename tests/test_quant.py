@@ -21,7 +21,7 @@ from dssalab.quant import (
     save_block_matrix,
     save_group_activation,
 )
-from dssalab.tensor_ops import ShapeError
+from dssalab.tensor_ops import NumericsError, ShapeError
 
 
 def clip_search_oracle(block, grid):
@@ -132,6 +132,19 @@ def test_clip_tie_prefers_larger_coefficient():
     block = np.full((4, 4), 2.0)
     qw = quantize_weight_blocks(block, grid=(0.5, 1.0, 0.75), block_shape=(4, 4))
     assert qw.clips[0, 0] == 1.0
+
+
+def test_clip_search_overflow_raises_and_large_blocks_still_quantize():
+    # every clip coefficient's squared error overflows float64: no warning,
+    # one NumericsError that names the block and its magnitude
+    huge = np.array([[1e300, -1e300], [3e299, 1.0]])
+    with pytest.raises(NumericsError, match=r"block \(0, 0\).*1e\+300"):
+        quantize_weight_blocks(huge, block_shape=(2, 2))
+    # a block whose errors stay finite quantizes as the oracle does
+    for scale in (1e150, 1e-300):
+        block = np.array([[1.0, -1.0], [0.3, 1e-5]]) * scale
+        qw = quantize_weight_blocks(block, block_shape=(2, 2))
+        assert (qw.clips[0, 0], qw.mse[0, 0]) == clip_search_oracle(block, DEFAULT_CLIP_GRID)
 
 
 def test_blocks_are_independent():

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import top_k_mask_sort
 from dssalab.attention import causal_keep, window_keep
 from dssalab.tensor_ops import (
     NEG_INF,
@@ -12,6 +16,7 @@ from dssalab.tensor_ops import (
     sigmoid,
     silu,
     softmax_rows,
+    top_k_mask,
 )
 
 
@@ -143,3 +148,18 @@ def test_l2_normalize_zero_row_warns_and_stays_zero():
         got = l2_normalize_rows(x)
     assert np.array_equal(got[1], np.zeros(3))
     assert np.allclose(got[0], [1.0, 0.0, 0.0])
+
+
+# few distinct values, so rows hold ties; -inf rows make argmax land on taken entries
+_gate_values = st.sampled_from([NEG_INF, -1.0, 0.0, 0.5, 1.0, np.inf]) | st.floats(-1e3, 1e3)
+
+
+@given(
+    x=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(0, 9)), elements=_gate_values),
+    k=st.integers(0, 12),
+)
+def test_top_k_mask_matches_sort_oracle_property(x, k):
+    got = top_k_mask(x, k)
+    assert got.dtype == bool
+    assert np.array_equal(got, top_k_mask_sort(x, k))
+
