@@ -3,8 +3,11 @@
 Uses the saturating no-infinity variant: the top exponent keeps seven
 finite steps and only mantissa 111 encodes NaN, so the largest finite
 magnitude is 448. Values outside [-448, 448] saturate on encode. Encoding
-rounds to nearest with ties to the even mantissa. Group scaling mirrors
-the INT8 layout (448 in place of 127); products share its tile loop.
+rounds to nearest with ties to the even mantissa, by exponent arithmetic
+(frexp, then rint in steps of the value's binade). Group scaling mirrors
+the INT8 layout (448 in place of 127); products share its tile loop, in
+float64: a product with a code reaches 448 * 127 * 2**9 units of 2**-9,
+past float32's 2**24.
 """
 
 from __future__ import annotations
@@ -35,34 +38,34 @@ def decode_code(code: int) -> float:
     return sign * mag
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    codepoints = np.array([decode_code(c) for c in range(256)])
-    finite_pos = np.array([c for c in range(128) if not np.isnan(codepoints[c])], dtype=np.uint8)
-    order = np.argsort(codepoints[finite_pos], kind="stable")
-    sorted_codes = finite_pos[order]
-    return codepoints, codepoints[sorted_codes], sorted_codes
-
-
-CODEPOINTS, _SORTED_VALUES, _SORTED_CODES = _build_tables()
-# midpoints of neighbouring non-negative finite values, exact in float64: a
-# magnitude below one is nearer the lower value, above it the upper one
-_MIDPOINTS = (_SORTED_VALUES[:-1] + _SORTED_VALUES[1:]) / 2.0
+CODEPOINTS = np.array([decode_code(c) for c in range(256)])
 
 
 def encode_array(x: np.ndarray) -> np.ndarray:
     """Nearest representable code for every finite element, ties to the even
     mantissa, out-of-range magnitudes saturated to +-448; NaN is rejected.
-    Searching the midpoints keeps three full-size arrays live at most.
+    The exponent field E comes from frexp (1 for zero and subnormals), and
+    rint counts the magnitude in steps of its binade, 2**(E - 10), ties to
+    even: 8 to 16 steps for a normal, whose leading 8 the field's bits
+    carry, and 16 rolls into the next exponent as the bits add.
     tests/test_fp8.py keeps a scalar oracle of the same code choice."""
     arr = as_f64(x)
     if np.isnan(arr).any():
         raise ValueError("NaN is not encodable; reject NaN upstream")
-    mag = np.minimum(np.abs(arr), MAX_FINITE)
-    idx = np.searchsorted(_MIDPOINTS, mag, side="left")  # nearest value, ties down; mag <= 448
-    tie = _MIDPOINTS.take(idx, mode="clip") == mag  # idx past the last midpoint is no tie
-    idx += tie & ((_SORTED_CODES[idx] & 1) == 1)  # a tie goes to the even mantissa
-    codes = _SORTED_CODES[idx]
-    return np.where(np.signbit(arr), codes | 0x80, codes)
+    mag = np.abs(arr)
+    np.minimum(mag, MAX_FINITE, out=mag)  # in place, as below: each full-size temporary costs time
+    exp = np.frexp(mag)[1]  # 1.0 is 0.5 * 2**1
+    exp += EXP_BIAS - 1
+    np.maximum(exp, 1, out=exp)
+    exp[mag == 0.0] = 1  # frexp gives zero the exponent 0, not a subnormal's
+    steps = np.ldexp(mag, EXP_BIAS + MAN_BITS - exp)
+    np.rint(steps, out=steps)
+    exp <<= MAN_BITS
+    exp -= 1 << MAN_BITS  # the leading 8 steps of a normal sit in the exponent field
+    codes = steps.astype(np.uint8)
+    codes += exp.astype(np.uint8)
+    codes |= np.signbit(arr).view(np.uint8) << 7
+    return codes
 
 
 def decode_array(codes: np.ndarray) -> np.ndarray:
@@ -74,6 +77,7 @@ class Fp8GroupActivation(QuantizedGroupActivation):
     group layout is the INT8 one; only the code decoding differs."""
 
     decode = staticmethod(decode_array)
+    max_units = int(MAX_FINITE) << 9  # |decoded code| in units of 2**-9, the subnormal step
 
 
 def fp8_quantize(x, group_size: int = 128) -> Fp8GroupActivation:
@@ -84,6 +88,7 @@ def fp8_quantize(x, group_size: int = 128) -> Fp8GroupActivation:
 def fp8_matmul_emulated(a: Fp8GroupActivation, w: QuantizedBlockMatrix) -> np.ndarray:
     """The int8_tiles loop with decoded activation codes in each tile
     product: 8-bit-float values are multiples of 2**-9 of magnitude at most
-    448, so tile sums are exact in float64, as on the integer paths."""
+    448 (max_units 448 * 2**9 of them), so int8_tiles runs every tile in
+    float64, where the sums are exact, as on the integer paths."""
     decoded = a.decode(a.codes)
     return int8_tiles(a, w, lambda rows, w_band: decoded[:, rows] @ w_band)

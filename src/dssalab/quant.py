@@ -5,9 +5,11 @@ every clip coefficient on a grid is tried and the one with the lowest
 block MSE wins. Activations are quantized per 1x128 group with the group
 max as the threshold (no clipping). Rounding is half-away-from-zero and
 codes are clamped to [-127, 127], so magnitudes fit in 7 bits. Integer
-products run as float64 GEMMs on the codes (see int8_tiles, which the
-8-bit-float product in fp8.py shares); they are exact because every tile
-sum fits the int32 accumulator the format promises, far below 2**53.
+products run as float32 GEMMs on the codes, or float64 ones for tiles
+wider than 1,040 codes (see int8_tiles, which the 8-bit-float product in
+fp8.py shares). Both are exact: a tile sum of at most 127*127*width is an
+integer that the float type holds, and the int32 accumulator the format
+promises bounds it far below 2**53.
 
 Serialized container layouts (all little-endian):
 
@@ -91,6 +93,7 @@ class QuantizedGroupActivation:
     codes: np.ndarray  # (n, d)
     scales: np.ndarray  # float64, (n, n_groups)
     group_size: int
+    max_units = 127  # the largest |decoded code|, in the units a tile sum counts (see int8_tiles)
 
     @staticmethod
     def decode(codes: np.ndarray) -> np.ndarray:
@@ -198,14 +201,18 @@ def quantize_activation_groups(x, group_size: int = DEFAULT_GROUP_SIZE) -> Quant
 
 def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
     """The group loop of the INT8, spike and 8-bit-float paths. For group g,
-    tile_product(rows, w_band) returns a new float64 array, scaled here in
-    place: a's decoded codes in columns `rows` times the band w.codes[rows].
-    Its sums are integers (multiples of 2**-9 for 8-bit floats) far below
-    2**53 such units, so a float64 GEMM returns them exactly in any order.
-    Both scales are then applied in float64 and groups summed in ascending
-    order, so paths whose products agree give bit-identical results. The
-    format's accumulator is int32: a tiling whose widest tile (127*127
-    times its width) could overflow it is rejected with ValueError.
+    tile_product(rows, w_band) returns a new array in w_band's dtype: a's
+    decoded codes in columns `rows` times the band w.codes[rows].
+
+    Its sums are integers of units (2**-9 for 8-bit floats) of magnitude at
+    most a.max_units * 127 * width. Below 2**24 units the band is float32,
+    which holds every such integer, else float64, which holds them far past
+    any tile the int32 guard admits; either way the GEMM returns the sums
+    exactly in any order. Each sum goes back to float64 before both scales
+    are applied, and groups are summed in ascending order, so paths whose
+    products agree give bit-identical results. The format's accumulator is
+    int32: a tiling whose widest tile (127*127 times its width) could
+    overflow it is rejected with ValueError.
     """
     if a.group_size != w.block_shape[0]:
         raise ShapeError(
@@ -217,11 +224,12 @@ def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
     width = min(rs, a.shape[1])  # the widest tile
     if 127 * 127 * width > 2**31 - 1:
         raise ValueError(f"a tile {width} codes wide can overflow int32: 127*127*{width} > 2**31 - 1")
+    dtype = np.float32 if a.max_units * 127 * width < 2**24 else np.float64
     ncols = w.codes.shape[1]
     out = np.zeros((a.shape[0], ncols))
     for g in range(a.scales.shape[1]):
         rows = slice(g * rs, (g + 1) * rs)
-        acc = tile_product(rows, w.codes[rows].astype(np.float64))
+        acc = tile_product(rows, w.codes[rows].astype(dtype)).astype(np.float64, copy=False)
         acc *= a.scales[:, g : g + 1]  # in place: a full-size temporary per group costs time
         acc *= _per_column(w.scales[g], cs, ncols)
         out += acc
@@ -229,10 +237,9 @@ def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
 
 
 def int8_matmul_reference(a: QuantizedGroupActivation, w: QuantizedBlockMatrix) -> np.ndarray:
-    """Integer-exact reference product: float64 GEMMs on the codes through
+    """Integer-exact reference product: GEMMs on the codes through
     int8_tiles, whose fixed order the event-driven path reproduces."""
-    codes = a.codes.astype(np.float64)
-    return int8_tiles(a, w, lambda rows, w_band: codes[:, rows] @ w_band)
+    return int8_tiles(a, w, lambda rows, w_band: a.codes[:, rows].astype(w_band.dtype) @ w_band)
 
 
 def save_block_matrix(path, qw: QuantizedBlockMatrix) -> None:

@@ -4,8 +4,10 @@ Each int8 activation code becomes one sign plane plus 7 binary magnitude
 planes (plane j holds bit j of |code|; |code| <= 127 so 7 planes cover it).
 A matmul then runs as event-driven shift-add: per bit-plane, only firing
 elements contribute an add, the plane's sum is weighted by 2**plane, and
-signs fold in. Each plane product is a float64 GEMM whose sums are
-integers of at most 127 times the group width, so it is exact, and the
+signs fold in. Each plane product is a GEMM in the weight band's float
+type (float32 up to a group width of 1,040, see quant.int8_tiles), whose
+sums are integers of at most 127 times the group width, and the weighted
+sum over planes stays at most 127*127 times it, so both are exact and the
 result reproduces the int8 reference product bit for bit: the event path
 is a lossless re-encoding, not an approximation. The module also counts
 events to report how much of the dense multiply-accumulate work the
@@ -33,6 +35,7 @@ class SpikeTrain:
     planes: np.ndarray  # uint8 in {0, 1}, (7, n, d)
     scales: np.ndarray  # float64, (n, n_groups)
     group_size: int
+    max_units = 127  # the largest |code| the planes encode (see quant.int8_tiles)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -97,14 +100,14 @@ def spike_matmul(train: SpikeTrain, w: QuantizedBlockMatrix) -> tuple[np.ndarray
     """Event-driven product of a spike train with block-quantized weights.
 
     Per activation group, every bit-plane's signed {-1,0,1} product with
-    the weight band, an exact float64 GEMM, is weighted by 2**plane, so the
-    group's sum equals the int8 product. The groups run through the same
-    int8_tiles loop as int8_matmul_reference, which makes the whole result
-    bit-identical to it.
+    the weight band, an exact GEMM in the band's float type, is weighted by
+    2**plane, so the group's sum equals the int8 product. The groups run
+    through the same int8_tiles loop as int8_matmul_reference, which makes
+    the whole result bit-identical to it.
     """
     def tile_product(rows: slice, w_band: np.ndarray) -> np.ndarray:
-        signs = train.signs[:, rows].astype(np.float64)
-        acc = np.zeros((train.shape[0], w_band.shape[1]))
+        signs = train.signs[:, rows].astype(w_band.dtype)
+        acc = np.zeros((train.shape[0], w_band.shape[1]), dtype=w_band.dtype)
         for j in range(NUM_PLANES):
             acc += ((train.planes[j][:, rows] * signs) @ w_band) * 2.0**j
         return acc

@@ -13,6 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import int64_tile_product
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dssalab.fp8 import (
     CODEPOINTS,
@@ -25,7 +27,7 @@ from dssalab.fp8 import (
     fp8_matmul_emulated,
     fp8_quantize,
 )
-from dssalab.quant import quantize_weight_blocks
+from dssalab.quant import QuantizedBlockMatrix, quantize_weight_blocks
 from dssalab.tensor_ops import ShapeError
 
 
@@ -54,6 +56,8 @@ def oracle_table() -> list[float]:
 _FINITE_POS = np.array([c for c in range(128) if not np.isnan(CODEPOINTS[c])], dtype=np.uint8)
 _SORTED_CODES = _FINITE_POS[np.argsort(CODEPOINTS[_FINITE_POS], kind="stable")]
 _SORTED_VALUES = CODEPOINTS[_SORTED_CODES]
+# midpoints of neighbouring values: every tie the encoder breaks to the even mantissa
+_TIES = (_SORTED_VALUES[:-1] + _SORTED_VALUES[1:]) / 2.0
 
 
 def encode_value(x: float) -> int:
@@ -168,20 +172,37 @@ def test_relative_error_bound_in_normal_range():
 
 def test_encode_array_matches_scalar_encode():
     rng = np.random.default_rng(11)
-    midpoints = (_SORTED_VALUES[:-1] + _SORTED_VALUES[1:]) / 2.0
     x = np.concatenate(
         [
             rng.normal(0.0, 100.0, size=300),
             np.array([0.0, -0.0, 448.0, -448.0, 1000.0, -1000.0, 1.0625, -1.0625, 2.0**-10]),
-            midpoints,  # every tie, half of them resolved upward to the even mantissa
-            -midpoints,
-            np.nextafter(midpoints, 0.0),
-            np.nextafter(midpoints, 448.0),
+            _TIES,  # every tie, half of them resolved upward to the even mantissa
+            -_TIES,
+            np.nextafter(_TIES, 0.0),
+            np.nextafter(_TIES, 448.0),
         ]
     )
     got = encode_array(x)
     want = np.array([encode_value(float(v)) for v in x], dtype=np.uint8)
     assert np.array_equal(got, want)
+
+
+def _near_tie(tie: float, step: int, negative: bool) -> float:
+    x = tie if step == 0 else float(np.nextafter(tie, step * np.inf))
+    return -x if negative else x
+
+
+_ENCODABLE = st.one_of(
+    st.floats(allow_nan=False),  # infinities, subnormals and magnitudes far past 448 included
+    st.floats(-500.0, 500.0),
+    st.builds(_near_tie, st.sampled_from(_TIES.tolist()), st.integers(-1, 1), st.booleans()),
+)
+
+
+@given(values=st.lists(_ENCODABLE, max_size=40))
+def test_encode_array_matches_scalar_encode_property(values):
+    want = np.array([encode_value(v) for v in values], dtype=np.uint8)
+    assert np.array_equal(encode_array(np.array(values, dtype=np.float64)), want)
 
 
 def test_encode_is_monotone_on_sorted_input():
@@ -261,6 +282,43 @@ def test_matmul_emulated_equals_int64_tile_oracle(n, d, m, group, block_cols, sc
     got = fp8_matmul_emulated(qa, qw)
     assert got.shape == (n, m)
     assert np.array_equal(got, int64_tile_product(qa, qw))
+
+
+_FINITE_CODES = np.array([c for c in range(256) if not np.isnan(CODEPOINTS[c])], dtype=np.uint8)
+
+
+@given(
+    shape=st.tuples(st.integers(0, 5), st.integers(1, 150), st.integers(1, 24)),
+    group=st.integers(1, 64),
+    block_cols=st.integers(1, 25),
+    largest=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matmul_emulated_equals_int64_tile_oracle_property(shape, group, block_cols, largest, seed):
+    # every finite code, or the largest codes with one sign per row and per
+    # column after a first code of 2**-9, whose tile sums need steps of
+    # 2**-9 above 2**15 (25 bits, past float32); partial last groups and
+    # block columns, zero rows
+    n, d, m = shape
+    rng = np.random.default_rng(seed)
+    if largest:
+        codes = np.repeat(rng.choice(np.array([0x7E, 0xFE], dtype=np.uint8), (n, 1)), d, axis=1)
+        codes[:, 0] = 0x01
+        w_codes = np.repeat(rng.choice([-127, 127], (1, m)), d, axis=0)
+    else:
+        codes = rng.choice(_FINITE_CODES, (n, d))
+        w_codes = rng.integers(-127, 128, (d, m))
+    codes[rng.random(n) < 0.3] = 0
+    groups, bcs = -(-d // group), -(-m // block_cols)
+    qa = Fp8GroupActivation(codes=codes, scales=rng.uniform(0.01, 2.0, (n, groups)), group_size=group)
+    qw = QuantizedBlockMatrix(
+        codes=w_codes.astype(np.int8),
+        scales=rng.uniform(0.01, 2.0, (groups, bcs)),
+        clips=np.ones((groups, bcs)),
+        mse=np.zeros((groups, bcs)),
+        block_shape=(group, block_cols),
+    )
+    assert np.array_equal(fp8_matmul_emulated(qa, qw), int64_tile_product(qa, qw))
 
 
 def test_matmul_emulated_memory_is_bounded():

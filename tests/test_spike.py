@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import int32_tile_product
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dssalab.quant import (
     QuantizedBlockMatrix,
@@ -112,11 +114,65 @@ def test_integer_paths_exact_at_the_edges():
     cases.append(unit_tile(np.hstack([half, -half]), np.full((4096, 1), 127)))
     # an odd sum above 2**24, per plane too: float32 cannot hold it in any order
     cases.append(all_127_tile(133_143))
+    # the widest tiles int8_tiles runs in float32 (127*127*1,040 < 2**24), and
+    # the narrowest it must not: 127*127*1,041 is odd and above 2**24
+    for g in (1040, 1041):
+        cases.append(all_127_tile(g))
+        cases.append(unit_tile(np.full((1, g), -127), np.full((g, 1), 127)))
     for qa, qw in cases:
         oracle = int32_tile_product(qa, qw)
         assert oracle.shape == (qa.shape[0], qw.shape[1])
         assert np.array_equal(int8_matmul_reference(qa, qw), oracle)
         assert np.array_equal(spike_matmul(spike_encode(qa), qw)[0], oracle)
+
+
+@st.composite
+def _integer_tiling(draw):
+    """Codes and scales of an activation and a block-quantized weight. Group
+    widths are drawn small, next to float32's 2**24 bound (1,040 of 127*127)
+    and next to the int32 guard (133,144), with partial last groups and
+    block columns. Codes are uniform, or +-127 with one sign per row and per
+    column so that every tile sum reaches 127*127 times its width, and some
+    activation rows are zero."""
+    width = draw(st.one_of(st.integers(1, 48), st.sampled_from((1040, 1041, 133_144, 133_145))))
+    small = width <= 48
+    n = draw(st.integers(0, 5 if small else 2))
+    d = draw(st.integers(1, 3 * width) if small else st.integers(width - 1, width + 1))
+    m = draw(st.integers(1, 24 if small else 3))
+    bc = draw(st.integers(1, m + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a_codes = rng.integers(-127, 128, (n, d))
+        w_codes = rng.integers(-127, 128, (d, m))
+    else:
+        a_codes = np.repeat(rng.choice([-127, 127], (n, 1)), d, axis=1)
+        w_codes = np.repeat(rng.choice([-127, 127], (1, m)), d, axis=0)
+    a_codes[rng.random(n) < 0.3] = 0
+    groups, block_cols = -(-d // width), -(-m // bc)
+    qa = QuantizedGroupActivation(
+        codes=a_codes.astype(np.int8), scales=rng.uniform(0.01, 2.0, (n, groups)), group_size=width
+    )
+    qw = QuantizedBlockMatrix(
+        codes=w_codes.astype(np.int8),
+        scales=rng.uniform(0.01, 2.0, (groups, block_cols)),
+        clips=np.ones((groups, block_cols)),
+        mse=np.zeros((groups, block_cols)),
+        block_shape=(width, bc),
+    )
+    return qa, qw
+
+
+@given(case=_integer_tiling())
+def test_integer_paths_match_int32_oracle_property(case):
+    qa, qw = case
+    if 127 * 127 * min(qa.group_size, qa.shape[1]) > 2**31 - 1:  # the widest tile can overflow int32
+        for call in (lambda: int8_matmul_reference(qa, qw), lambda: spike_matmul(spike_encode(qa), qw)):
+            with pytest.raises(ValueError, match="int32"):
+                call()
+        return
+    oracle = int32_tile_product(qa, qw)
+    assert np.array_equal(int8_matmul_reference(qa, qw), oracle)
+    assert np.array_equal(spike_matmul(spike_encode(qa), qw)[0], oracle)
 
 
 def test_integer_paths_memory_stays_below_4_mib():
