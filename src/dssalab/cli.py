@@ -41,7 +41,7 @@ from .attention import (
     masked_attention,
     window_keep,
 )
-from .moba import MobaParams, moba_forward, moba_selections
+from .moba import MobaParams, block_pool_keys, moba_forward, moba_select, moba_selections
 from .sse import SSEParams, sse_forward
 from .tensor_ops import NumericsError, ShapeError
 
@@ -123,14 +123,11 @@ def _swa_via_mask(q, k, v, window: int, fault: bool) -> np.ndarray:
 
 
 def _moba_via_mask(q, k, v, params: MobaParams, fault: bool) -> np.ndarray:
-    # the selections expanded to a dense keep mask; the fault drops the last
-    # row's first kept key, which is never its only one at n >= 2
+    # the selected blocks expanded to a dense keep mask; the fault drops the
+    # last row's first kept key, which is never its only one at n >= 2
     n, b = q.shape[0], params.block_size
-    keep = np.zeros((n, n), dtype=bool)
-    for sel in moba_selections(q, k, params):
-        for block in sel.blocks:
-            keep[sel.query_index, block * b : (block + 1) * b] = True
-    keep &= causal_keep(n)
+    selected = moba_select(q, block_pool_keys(k, b), params)
+    keep = np.repeat(selected, b, axis=1)[:, :n] & causal_keep(n)
     if fault and n >= 2:
         keep[n - 1, np.argmax(keep[n - 1])] = False
     return masked_attention(q, k, v, keep)

@@ -158,8 +158,8 @@ def moba_forward(q, k, v, params: MobaParams) -> np.ndarray:
     out[:m] = _windowed(q[:m], k[:m], v[:m], m)
     selected = moba_select(q[m:], pooled, params, m)  # zero rows when m == n
     if m < n:
-        out[m:] = _sparse_rows(q, k, v, selected, m, b, slots)
-    return ensure_finite(out, "attention")
+        out[m:] = ensure_finite(_sparse_rows(q, k, v, selected, m, b, slots), "attention")
+    return out  # rows [0, m) were checked by _windowed
 
 
 def activation_ratio(n: int, block_size: int, top_k: int) -> float:

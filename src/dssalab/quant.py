@@ -21,8 +21,9 @@ Serialized container layouts (all little-endian):
 
 Both go through tensorio's one binary writer and checked reader, which
 reject a header that claims more bytes than the file holds and bytes after
-the codes; the loaders add a positive block shape and group size, and no
-int8 code -128.
+the codes; the loaders add a positive block shape and group size, finite
+scales and clips, and no int8 code -128. The writers refuse a scale or
+clip that float32 cannot hold finitely.
 """
 
 from __future__ import annotations
@@ -242,9 +243,28 @@ def int8_matmul_reference(a: QuantizedGroupActivation, w: QuantizedBlockMatrix) 
     return int8_tiles(a, w, lambda rows, w_band: a.codes[:, rows].astype(w_band.dtype) @ w_band)
 
 
+def _finite_f32(path, values: np.ndarray) -> np.ndarray:
+    """Scales or clips as little-endian float32; one that float32 cannot
+    hold finitely (1e100, say) would load as an infinity, so it is refused."""
+    with np.errstate(over="ignore"):  # the overflow is reported below
+        out = values.astype("<f4")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{path}: a scale or clip is not finite in float32")
+    return out
+
+
+def _take_finite(r: _BinReader, count: int) -> np.ndarray:
+    """The next count float32 scales or clips, as float64; a NaN or an
+    infinity among them would dequantize to non-finite values."""
+    values = r.take("<f4", count).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise r.error("a scale or clip is not finite")
+    return values
+
+
 def save_block_matrix(path, qw: QuantizedBlockMatrix) -> None:
     _write_bin(path, BLOCK_MAGIC, [*qw.codes.shape, *qw.block_shape],
-               qw.scales.astype("<f4"), qw.clips.astype("<f4"), qw.codes.astype("<i1"))
+               _finite_f32(path, qw.scales), _finite_f32(path, qw.clips), qw.codes.astype("<i1"))
 
 
 def _take_codes(r: _BinReader, shape: tuple[int, int]) -> np.ndarray:
@@ -263,14 +283,14 @@ def load_block_matrix(path) -> QuantizedBlockMatrix:
     if rs < 1 or cs < 1:
         raise r.error(f"block shape {(rs, cs)} in the header is not positive")
     grid = ((nrows + rs - 1) // rs, (ncols + cs - 1) // cs)
-    scales, clips = r.take("<f4", 2 * math.prod(grid)).astype(np.float64).reshape(2, *grid)
+    scales, clips = _take_finite(r, 2 * math.prod(grid)).reshape(2, *grid)
     codes = _take_codes(r, (nrows, ncols))
     return QuantizedBlockMatrix(codes, scales, clips, mse=np.zeros(grid), block_shape=(rs, cs))
 
 
 def save_group_activation(path, qa: QuantizedGroupActivation) -> None:
     _write_bin(path, GROUP_MAGIC, [*qa.codes.shape, qa.group_size],
-               qa.scales.astype("<f4"), qa.codes.astype("<i1"))
+               _finite_f32(path, qa.scales), qa.codes.astype("<i1"))
 
 
 def load_group_activation(path) -> QuantizedGroupActivation:
@@ -279,5 +299,5 @@ def load_group_activation(path) -> QuantizedGroupActivation:
     if gs < 1:
         raise r.error(f"group size {gs} in the header is not positive")
     grid = (n, (d + gs - 1) // gs)
-    scales = r.take("<f4", math.prod(grid)).astype(np.float64).reshape(grid)
+    scales = _take_finite(r, math.prod(grid)).reshape(grid)
     return QuantizedGroupActivation(codes=_take_codes(r, (n, d)), scales=scales, group_size=gs)

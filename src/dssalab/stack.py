@@ -228,9 +228,13 @@ def stack_forward(x, params: list[LayerParams], config: StackConfig,
 @dataclass(frozen=True)
 class SensitivityProfile:
     """Per-layer retrieval scores, each measured with that layer swapped to
-    a sparse mechanism."""
+    a sparse mechanism; a profile has at least one score."""
 
     scores: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.scores:
+            raise ValueError("sensitivity profile has no scores")
 
 
 def select_moba_layers(profile: SensitivityProfile, drop_threshold: float) -> list[int]:
@@ -243,8 +247,6 @@ def select_moba_layers(profile: SensitivityProfile, drop_threshold: float) -> li
     layer is picked when its score falls more than drop_threshold below
     the reference. Returns the picked indices in ascending order.
     """
-    if len(profile.scores) == 0:
-        raise ValueError("sensitivity profile has no scores")
     if drop_threshold < 0:
         raise ValueError(f"drop_threshold must be >= 0, got {drop_threshold}")
     global_median = median(profile.scores)

@@ -1,7 +1,7 @@
 """Minimal dense numeric primitives shared by all modules.
 
-All functions take and return numpy arrays (row-major, float64 unless noted)
-and validate that no NaN/Inf leaves an exported operation.
+Arrays are row-major, float64 unless noted. A public function checks once
+that no NaN/Inf leaves it; softmax_rows does so by its row maxima alone.
 """
 
 from __future__ import annotations
@@ -33,20 +33,20 @@ def ensure_finite(x: np.ndarray, where: str) -> np.ndarray:
 
 
 def softmax_rows(x, out=None) -> np.ndarray:
-    """Row-wise softmax with max-subtraction stabilization.
+    """Row-wise softmax with max-subtraction stabilization, written to `out`
+    when given, which may be x itself. Entries of -inf get weight 0.
 
-    Entries of -inf are excluded (weight 0). A row with every entry -inf is
-    an error. The result is written to `out` when given, which may be x
-    itself.
+    The row maxima alone are checked: a NaN, a +inf or a row of all -inf
+    makes one non-finite (NumericsError). Finite maxima give exp arguments
+    <= 0, one of them 0, so row sums in [1, cols] and a finite output.
     """
     x = as_f64(x)
     row_max = np.max(x, axis=-1, keepdims=True)
-    if np.any(np.isneginf(row_max)):
-        raise NumericsError("softmax row with all positions masked")
+    if not np.isfinite(row_max).all():
+        raise NumericsError("softmax row with a NaN, a +inf, or every position masked")
     e = np.subtract(x, row_max, out=out)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=-1, keepdims=True)
-    return ensure_finite(e, "softmax_rows")
+    return np.divide(e, np.sum(e, axis=-1, keepdims=True), out=e)
 
 
 def top_k_mask(x, k: int) -> np.ndarray:

@@ -9,17 +9,20 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 from conftest import make_dip_profile
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dssalab import cli, quant, tensorio
 from dssalab.cli import main, parse_length
 from dssalab.losses import combined_loss_llm
-from dssalab.stack import LayerPlan, default_plan
+from dssalab.stack import LAYER_KINDS, LayerPlan, default_plan
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:
@@ -434,6 +437,84 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err, argv
         assert argv not in files or argv[2] in err, argv
+
+
+def test_quant_report_refuses_to_save_a_scale_float32_cannot_hold(tmp_path, capsys):
+    # finite in float64, but the block's scale casts to inf in float32
+    path = tmp_path / "huge.json"
+    tensorio.save_tensor_json(path, np.array([[1e100, -1.0], [3.0, 1.0]]))
+    save = tmp_path / "huge.qblk"
+    assert exit_code(["quant-report", "--input", str(path), "--block-size", "2", "--save", str(save)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"dssalab: error: {save}: a scale or clip is not finite")
+    assert not save.exists()
+
+
+# read_json builder -> (the arguments before and after the file, a document
+# it accepts). Every key of each document is needed
+READ_JSON_BUILDERS = {
+    "tensor": (["quant-report", "--input"], [], {"shape": [2, 2], "data": [1.0, -2.0, 0.5, 3.0]}),
+    "plan": (["plan-show", "--plan"], [], {"kinds": ["sse_swa", "moba", "fa"]}),
+    "profile": (["layer-select", "--profile"], ["--threshold", "1.0"], {"scores": [60.0, 50.0, 61.0]}),
+    "loss fixture": (["loss-check", "--fixture"], [], {"mode": "vlm", "kd": 0.5, "mse": 0.1}),
+}
+
+# a JSON value that no key or list element of those documents takes: not a
+# number, a list, a layer kind or a loss mode
+WRONG_VALUE = st.one_of(
+    st.text(max_size=4).filter(lambda s: s not in LAYER_KINDS and s not in cli.LOSS_MODES),
+    st.booleans(),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def malformed_json(draw, doc: dict) -> str:
+    """The text of doc broken in one drawn way: cut short, under a top level
+    that is not an object, a key dropped, a key's value or one list element
+    replaced by a wrong value, or a list emptied."""
+    text = json.dumps(doc)
+    how = draw(st.sampled_from(["cut", "top level", "drop", "retype", "element", "empty"]))
+    if how == "cut":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if how == "top level":
+        return json.dumps(draw(st.one_of(st.just([doc]), st.text(max_size=4), st.booleans(), st.none(),
+                                         st.integers(), st.floats())))
+    broken = dict(doc)
+    lists = sorted(key for key, value in doc.items() if isinstance(value, list))
+    if how in ("element", "empty") and lists:
+        key = draw(st.sampled_from(lists))
+        broken[key] = [] if how == "empty" else list(doc[key])
+        if how == "element":
+            broken[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(WRONG_VALUE)
+    elif how == "drop":
+        del broken[draw(st.sampled_from(sorted(doc)))]
+    else:
+        broken[draw(st.sampled_from(sorted(doc)))] = draw(WRONG_VALUE)
+    return json.dumps(broken)
+
+
+def test_read_json_builders_accept_their_documents(tmp_path):
+    for name, (before, after, doc) in READ_JSON_BUILDERS.items():
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli([*before, str(path), *after])[0] == 0, name
+
+
+@pytest.mark.parametrize("builder", READ_JSON_BUILDERS)
+@given(data=st.data())
+def test_malformed_json_exits_two_naming_the_file(builder, data, tmp_path_factory):
+    before, after, doc = READ_JSON_BUILDERS[builder]
+    path = tmp_path_factory.getbasetemp() / "malformed.json"
+    path.write_text(data.draw(malformed_json(doc)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*before, str(path), *after])
+    assert code == 2
+    assert err.getvalue().startswith(f"dssalab: error: malformed JSON file {path}: ")
+    assert "Traceback" not in err.getvalue()
 
 
 def test_argparse_rejects_unknown_subcommand():

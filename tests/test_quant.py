@@ -346,6 +346,34 @@ def test_container_rejects_wrong_magic(tmp_path):
         path.write_bytes(blob + b"\x00" * 9)
         with pytest.raises(ValueError, match="bad: .* is not positive"):
             load(path)
+    # a NaN or an infinity among the scales or the clips: it would dequantize
+    # to non-finite values. Block scales start at byte 24, clips at 40; group
+    # scales at byte 20
+    for source, load, offset in ((block_raw, load_block_matrix, 24), (block_raw, load_block_matrix, 40),
+                                 (good, load_group_activation, 20), (good, load_group_activation, 32)):
+        for bad in (np.nan, np.inf, -np.inf):
+            raw = bytearray(source.read_bytes())
+            raw[offset : offset + 4] = struct.pack("<f", bad)
+            path.write_bytes(bytes(raw))
+            with pytest.raises(ValueError, match="bad: a scale or clip is not finite"):
+                load(path)
+
+
+def test_container_writers_refuse_scales_not_finite_in_float32(tmp_path):
+    # 1e100 is finite in float64 but casts to inf in float32; nothing is written
+    path = tmp_path / "refused"
+    codes = np.ones((2, 2), dtype=np.int8)
+    for scale in (1e100, np.nan):
+        qw = QuantizedBlockMatrix(codes=codes, scales=np.array([[scale]]), clips=np.ones((1, 1)),
+                                  mse=np.zeros((1, 1)), block_shape=(2, 2))
+        qa = QuantizedGroupActivation(codes=codes, scales=np.array([[1.0], [scale]]), group_size=2)
+        for save, q in ((save_block_matrix, qw), (save_group_activation, qa)):
+            with pytest.raises(ValueError, match="refused: a scale or clip is not finite in float32"):
+                save(path, q)
+            assert not path.exists()
+    qw.scales[0, 0], qw.clips[0, 0] = 1.0, -np.inf
+    with pytest.raises(ValueError, match="refused"):
+        save_block_matrix(path, qw)
 
 
 def test_container_formats_are_pinned(tmp_path):
