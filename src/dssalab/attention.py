@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, softmax_rows
+from .tensor_ops import NEG_INF, NumericsError, ShapeError, as_f64, ensure_finite, softmax_rows
 
 # query rows per chunk of the softmax core: a chunk's score array is at most
 # ROW_CHUNK x (keys it may see), never n x n. Picked by measurement over
@@ -36,6 +36,10 @@ def _check_qkv(q, k, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q, k, v = as_f64(q), as_f64(k), as_f64(v)
     if q.ndim != 2 or q.shape != k.shape or v.ndim != 2 or v.shape[0] != q.shape[0]:
         raise ShapeError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    # a +inf key that every query scores at -inf weighs 0 and leaves the
+    # output finite, so the inputs are checked, not only the output
+    if not (np.isfinite(q).all() and np.isfinite(k).all() and np.isfinite(v).all()):
+        raise NumericsError("q, k or v holds a NaN or an infinity")
     return q, k, v
 
 

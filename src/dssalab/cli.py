@@ -238,7 +238,11 @@ def cmd_spike_report(args) -> int:
     else:
         w = np.ones((x.shape[1], 1))  # notional single output column
     qw = quant.quantize_weight_blocks(w, block_shape=(args.group_size, args.group_size))
-    _, report = spike.spike_matmul(train, qw)
+    try:
+        _, report = spike.spike_matmul(train, qw)
+    except NumericsError as exc:  # finite inputs whose product overflows float64
+        through = f" through weight file {args.weight}" if args.weight else ""
+        raise NumericsError(f"tensor file {args.input}{through}: {exc}") from None
     _emit_json(
         {
             "command": "spike-report",

@@ -2,9 +2,11 @@
 
 Keys are grouped into fixed-size blocks, each summarized by mean pooling.
 Every query scores the pooled summaries of blocks that have started by its
-position, keeps its own block unconditionally plus the best-scoring others,
-and runs exact softmax attention over the tokens of the kept blocks under
-the usual causal mask.
+position by the raw dot product q.pooled, keeps its own block
+unconditionally plus the best-scoring others (ties to the lower block
+index), and runs exact softmax attention over the tokens of the kept
+blocks under the usual causal mask. The rows of one query block see the
+same blocks, so they are scored together against those alone.
 
 The query rows split once, at a multiple m of attention.ROW_CHUNK. Rows
 before m have a causal prefix no wider than top_k * block_size keys, so
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ROW_CHUNK, _check_qkv, _windowed
-from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, softmax_rows, top_k_mask
+from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, top_k_mask
 
 
 @dataclass(frozen=True)
@@ -68,36 +70,32 @@ def block_pool_keys(k, block_size: int) -> np.ndarray:
     return pooled
 
 
-def _check_qk(q, k) -> tuple[np.ndarray, np.ndarray]:
-    q, k = as_f64(q), as_f64(k)
-    if q.ndim != 2 or q.shape != k.shape:
-        raise ShapeError(f"queries {q.shape} and keys {k.shape} must be 2-D and of equal shape")
-    return q, k
-
-
 def moba_select(q, pooled, params: MobaParams, start: int = 0) -> np.ndarray:
     """Blocks attended by query rows start, start + 1, ..., as a bool
     (rows, num_blocks) array.
 
-    Query t sees only blocks 0..t//block_size; later ones are masked before
-    the gating softmax. The query's own block always occupies one slot; the
-    remaining top_k - 1 slots go to the best-scoring other visible blocks,
-    ties toward the lower block index.
+    Query t sees only blocks 0..t//block_size, so the rows of one query
+    block j are scored against pooled[:j + 1] alone, by raw q.pooled
+    scores. The query's own block always occupies one slot; the remaining
+    top_k - 1 slots go to the best-scoring other visible blocks, ties
+    toward the lower block index.
     """
     q = as_f64(q)
-    if q.shape[0] == 0:  # no query to route; softmax_rows needs a row
-        return np.zeros((0, pooled.shape[0]), dtype=bool)
-    current = np.arange(start, start + q.shape[0]) // params.block_size
-    visible = np.arange(pooled.shape[0]) <= current[:, None]
-    gates = softmax_rows(np.where(visible, q @ pooled.T, NEG_INF))
-    gates[np.arange(q.shape[0]), current] = np.inf  # own block ranks first
-    # masked blocks (gate 0) rank after every visible block, lower index
-    # first on ties, so they only take slots no visible block can fill
-    return top_k_mask(gates, params.top_k) & visible
+    b = params.block_size
+    selected = np.zeros((q.shape[0], pooled.shape[0]), dtype=bool)
+    lo = 0
+    while lo < q.shape[0]:  # rows lo..hi-1 lie in query block j
+        j = (start + lo) // b
+        hi = min((j + 1) * b - start, q.shape[0])
+        scores = q[lo:hi] @ pooled[: j + 1].T
+        scores[:, j] = np.inf  # own block ranks first
+        selected[lo:hi, : j + 1] = top_k_mask(scores, params.top_k)
+        lo = hi
+    return selected
 
 
 def moba_selections(q, k, params: MobaParams) -> list[BlockSelection]:
-    q, k = _check_qk(q, k)
+    q, k, _ = _check_qkv(q, k, k)
     selected = moba_select(q, block_pool_keys(k, params.block_size), params)
     return [
         BlockSelection(query_index=t, blocks=tuple(np.flatnonzero(row).tolist()))

@@ -213,7 +213,8 @@ def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
     are applied, and groups are summed in ascending order, so paths whose
     products agree give bit-identical results. The format's accumulator is
     int32: a tiling whose widest tile (127*127 times its width) could
-    overflow it is rejected with ValueError.
+    overflow it is rejected with ValueError. A result past float64 raises
+    NumericsError, once for all three paths.
     """
     if a.group_size != w.block_shape[0]:
         raise ShapeError(
@@ -228,13 +229,14 @@ def int8_tiles(a, w: QuantizedBlockMatrix, tile_product) -> np.ndarray:
     dtype = np.float32 if a.max_units * 127 * width < 2**24 else np.float64
     ncols = w.codes.shape[1]
     out = np.zeros((a.shape[0], ncols))
-    for g in range(a.scales.shape[1]):
-        rows = slice(g * rs, (g + 1) * rs)
-        acc = tile_product(rows, w.codes[rows].astype(dtype)).astype(np.float64, copy=False)
-        acc *= a.scales[:, g : g + 1]  # in place: a full-size temporary per group costs time
-        acc *= _per_column(w.scales[g], cs, ncols)
-        out += acc
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past float64 is reported below
+        for g in range(a.scales.shape[1]):
+            rows = slice(g * rs, (g + 1) * rs)
+            acc = tile_product(rows, w.codes[rows].astype(dtype)).astype(np.float64, copy=False)
+            acc *= a.scales[:, g : g + 1]  # in place: a full-size temporary per group costs time
+            acc *= _per_column(w.scales[g], cs, ncols)
+            out += acc
+    return ensure_finite(out, "int8_tiles")
 
 
 def int8_matmul_reference(a: QuantizedGroupActivation, w: QuantizedBlockMatrix) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dssalab.attention import ROW_CHUNK
 from dssalab.stack import DEFAULT_MOBA_LAYERS, SensitivityProfile
+from dssalab.tensor_ops import NEG_INF, softmax_rows, top_k_mask
 
 # property tests draw the same examples on every run and keep no example
 # database, so Tier-1 stays deterministic and writes nothing to the checkout
@@ -27,6 +28,27 @@ def top_k_mask_sort(x, k: int) -> np.ndarray:
     mask = np.zeros(order.shape, dtype=bool)
     np.put_along_axis(mask, order[..., :k], True, axis=-1)
     return mask
+
+
+def moba_softmax_gates(q, pooled, block_size: int, start: int = 0):
+    """(gates, current, visible) of query rows start, start + 1, ...: the
+    softmax of q.pooled over the blocks each row can see, a masked block
+    gating 0; each row's own block; the bool visibility mask."""
+    current = np.arange(start, start + q.shape[0]) // block_size
+    visible = np.arange(pooled.shape[0]) <= current[:, None]
+    return softmax_rows(np.where(visible, q @ pooled.T, NEG_INF)), current, visible
+
+
+def moba_select_softmax(q, pooled, params, start: int = 0) -> np.ndarray:
+    """The form moba.moba_select ran before it scored each query block on
+    raw scores, kept as its oracle: one gating softmax over every block,
+    the own block set to +inf, top-k over all blocks, then the invisible
+    ones masked off."""
+    if q.shape[0] == 0:  # no query to route; softmax_rows needs a row
+        return np.zeros((0, pooled.shape[0]), dtype=bool)
+    gates, current, visible = moba_softmax_gates(q, pooled, params.block_size, start)
+    gates[np.arange(q.shape[0]), current] = np.inf  # own block ranks first
+    return top_k_mask(gates, params.top_k) & visible
 
 
 def _exact_tiles(a_units, unit: float, dtype, qa, qw) -> np.ndarray:

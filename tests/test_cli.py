@@ -11,6 +11,7 @@ import io
 import json
 import math
 import struct
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -431,12 +432,29 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         # finite, but the clip search's squared error overflows float64
         ["quant-report", "--input",
          write("tensor_huge", '{"shape": [2, 2], "data": [1e300, -1e300, 3e299, 1]}'), "--block-size", "2"],
+        # finite, but the spike product overflows float64
+        ["spike-report", "--input",
+         write("tensor_overflow", '{"shape": [1, 2], "data": [1e308, 1e308]}'), "--group-size", "2"],
     ]
     for argv in cases + files:
         assert exit_code(argv) == 2, argv
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err, argv
         assert argv not in files or argv[2] in err, argv
+
+
+def test_spike_report_overflow_is_one_error_line_naming_both_files(tmp_path, capsys):
+    # no RuntimeWarning beside the error: warnings raise here
+    x, w = tmp_path / "huge.json", tmp_path / "ones.json"
+    tensorio.save_tensor_json(x, np.full((2, 4), 1e308))
+    tensorio.save_tensor_json(w, np.ones((4, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = exit_code(["spike-report", "--input", str(x), "--weight", str(w), "--group-size", "4"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"dssalab: error: tensor file {x} through weight file {w}: non-finite values in int8_tiles\n"
+    )
 
 
 def test_quant_report_refuses_to_save_a_scale_float32_cannot_hold(tmp_path, capsys):

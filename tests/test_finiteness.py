@@ -3,9 +3,11 @@ every public mechanism, the stack and the row softmax.
 
 Each public function checks finiteness once (see tensor_ops): softmax_rows
 by its row maxima, full and sliding-window attention once over their
-output, MoBA's routed rows once after the merge. These tests put the bad
-value on the last row of a chunk and the first row of the next, where a
-check that skips a chunk or a split would let it through.
+output, MoBA's routed rows once after the merge. The attention mechanisms
+also refuse a non-finite q, k or v on entry, since a +inf key can weigh 0.
+These tests put the bad value on the last row of a chunk and the first row
+of the next, where a check that skips a chunk or a split would let it
+through.
 """
 
 from __future__ import annotations
@@ -62,6 +64,22 @@ def assert_each_raises(call, base: list[np.ndarray]) -> None:
 def test_attention_raises_on_non_finite_at_chunk_edges(name):
     rng = np.random.default_rng(31)
     assert_each_raises(MECHANISMS[name], [rng.standard_normal((N, D)) for _ in range(3)])
+
+
+@pytest.mark.parametrize("call", [
+    full_attention,
+    lambda q, k, v: swa(q, k, v, 4),
+    lambda q, k, v: moba_forward(q, k, v, MobaParams(block_size=2, top_k=2)),  # every row routed
+], ids=["full_attention", "swa", "moba"])
+def test_attention_raises_on_an_inf_key_that_weighs_zero(call):
+    # every query scores key 3 at -inf, so it weighs 0 and the output is
+    # finite: only a check of the inputs sees it
+    rng = np.random.default_rng(0)
+    q, k, v = (rng.standard_normal((8, 2)) for _ in range(3))
+    q[:, 0] = -np.abs(q[:, 0])
+    k[3, 0] = np.inf
+    with np.errstate(all="ignore"), pytest.raises(NumericsError):
+        call(q, k, v)
 
 
 def test_sse_forward_raises_on_non_finite_at_chunk_edges():

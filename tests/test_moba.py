@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import chunk_edge_lengths
+from conftest import chunk_edge_lengths, moba_select_softmax, moba_softmax_gates
+from dssalab import moba
 from dssalab.attention import ROW_CHUNK, causal_keep, full_attention, masked_attention
 from dssalab.moba import (
     MobaParams,
@@ -157,6 +158,46 @@ def test_select_ranking_ignores_softmax_vs_raw_scores():
         for t in range(32):
             raw = q[t] @ pooled[: t // 4 + 1].T
             assert blocks_of(selected, t) == sort_oracle(raw, t // 4, 3)
+
+
+@st.composite
+def _select_case(draw):
+    # b of one token, below a chunk, one chunk, or longer than the sequence;
+    # the routed rows start at 0, inside a block, or after the last row
+    n = draw(chunk_edge_lengths | st.integers(0, 300))
+    below, past = draw(st.integers(2, ROW_CHUNK - 1)), n + draw(st.integers(1, 9))
+    b = draw(st.sampled_from([1, below, ROW_CHUNK, past]))
+    inside = draw(st.integers(0, max(0, n - 1)))
+    start = draw(st.sampled_from([0, n, inside if inside % b else min(n, inside + 1)]))
+    return n, start, MobaParams(block_size=b, top_k=draw(st.integers(1, 9)))
+
+
+@given(case=_select_case(), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_select_matches_softmax_oracle_property(case, d, seed):
+    n, start, p = case
+    rng = np.random.default_rng(seed)
+    q, k = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    pooled = block_pool_keys(k, p.block_size)
+    got = moba_select(q[start:], pooled, p, start)
+    assert got.shape == (n - start, num_blocks(n, p.block_size)) and got.dtype == bool
+    if start == n:  # no row to rank, and softmax_rows needs one
+        return
+    # rows whose visible oracle gates hold two equal values may rank them
+    # apart from raw scores, which rounding had not made equal
+    gates, _, visible = moba_softmax_gates(q[start:], pooled, p.block_size, start)
+    masked = np.where(visible, gates, -1.0 - np.arange(pooled.shape[0]))  # distinct, below every gate
+    tied = (np.diff(np.sort(masked, axis=1), axis=1) == 0).any(axis=1)
+    want = moba_select_softmax(q[start:], pooled, p, start)
+    assert np.array_equal(got[~tied], want[~tied])
+
+
+def test_select_runs_no_step_for_zero_rows(monkeypatch):
+    # moba_forward routes no row when top_k * b covers n; a start inside a
+    # block must not run an empty step either
+    monkeypatch.setattr(moba, "top_k_mask", lambda *args: pytest.fail("a step ran"))
+    pooled = block_pool_keys(np.ones((10, 2)), 4)
+    for start in (0, 5, 8, 10):
+        assert moba_select(np.ones((0, 2)), pooled, MobaParams(block_size=4, top_k=2), start).shape == (0, 3)
 
 
 def test_select_tie_break_lowest_block_index():

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from dssalab.fp8 import encode_array, fp8_quantize
+from dssalab.fp8 import encode_array, fp8_matmul_emulated, fp8_quantize
 from dssalab.quant import (
     BLOCK_MAGIC,
     DEFAULT_CLIP_GRID,
@@ -21,6 +21,7 @@ from dssalab.quant import (
     save_block_matrix,
     save_group_activation,
 )
+from dssalab.spike import spike_encode, spike_matmul
 from dssalab.tensor_ops import NumericsError, ShapeError
 
 
@@ -248,6 +249,22 @@ def test_int8_reference_validates_tiling():
     qw = quantize_weight_blocks(np.ones((8, 4)), block_shape=(8, 4))
     with pytest.raises(ShapeError):
         int8_matmul_reference(qa, qw)
+
+
+def test_products_past_float64_raise():
+    # finite activations whose products overflow: int8_tiles checks its
+    # output once for the INT8, spike and 8-bit-float paths
+    x = np.full((2, 4), 1e308)
+    qw = quantize_weight_blocks(np.ones((4, 1)), block_shape=(4, 4))
+    qa = quantize_activation_groups(x, group_size=4)
+    products = {
+        "int8": lambda: int8_matmul_reference(qa, qw),
+        "spike": lambda: spike_matmul(spike_encode(qa), qw),
+        "fp8": lambda: fp8_matmul_emulated(fp8_quantize(x, group_size=4), qw),
+    }
+    for name, product in products.items():
+        with pytest.raises(NumericsError, match="int8_tiles"):
+            product()
 
 
 def test_grid_validation():
