@@ -1,18 +1,24 @@
 """Reference attention mechanisms used as ground truth.
 
 Full attention, sliding-window attention, and linear attention in both its
-parallel-masked and recurrent forms. All are strictly causal, operate on
-single-head q/k/v of shape (n, d), and carry no 1/sqrt(d) scaling; callers
-that want scaling apply it to q beforehand (see stack.StackConfig).
+parallel-masked and recurrent forms. All are strictly causal and carry no
+1/sqrt(d) scaling; callers that want scaling apply it to q beforehand (see
+stack.StackConfig). The linear forms and the `masked_attention` oracle take
+single-head q/k/v of shape (n, d). `full_attention` and `swa` take
+`n_heads` = h heads side by side, q/k/v of shape (n, h * d), head i in
+columns [i * d, (i + 1) * d), and return (n, h * d_v) in the same layout;
+h = 1 is the single-head call.
 
-The softmax mechanisms share one kernel, `_attend_rows`: query rows against
-contiguous key rows under a boolean keep mask. `_windowed` runs it over
-chunks of at most ROW_CHUNK query rows, never an n x n array: full attention
-hands a chunk its causal prefix, the sliding window a band of chunk +
-window - 1 keys. Every chunk's keep mask is a view of one band built per
-call, which depends only on the window. MoBA runs its leading rows, which
-select every block they can see, through the same loop. A chunk holds every
-row's keys, so no online-softmax rescaling across key tiles is needed.
+The softmax mechanisms share one kernel, `_attend_rows`: every head's query
+rows against contiguous key rows under one boolean keep mask. The heads are
+strided views (tensor_ops.split_heads), so BLAS reads each head in place.
+`_windowed` runs the kernel over chunks of at most ROW_CHUNK query rows,
+never an n x n array: full attention hands a chunk its causal prefix, the
+sliding window a band of chunk + window - 1 keys. Every chunk's keep mask is
+a view of one band built per call, which depends only on the window. MoBA
+runs its leading rows, which select every block they can see, through the
+same loop. A chunk holds every row's keys, so no online-softmax rescaling
+across key tiles is needed.
 
 `masked_attention` under the dense `causal_keep` and `window_keep` masks is
 the oracle the core is tested against.
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_ops import NEG_INF, NumericsError, ShapeError, as_f64, ensure_finite, softmax_rows
+from .tensor_ops import NEG_INF, NumericsError, ShapeError, as_f64, ensure_finite, softmax_rows, split_heads
 
 # query rows per chunk of the softmax core: a chunk's score array is at most
 # ROW_CHUNK x (keys it may see), never n x n. Picked by measurement over
@@ -71,39 +77,45 @@ def masked_attention(q, k, v, keep) -> np.ndarray:
 
 def _attend_rows(q, k, v, keep) -> np.ndarray:
     """Query row i attends key row j iff keep[i, j]; each row keeps at least
-    one key. Its arrays are freed before the next chunk's."""
-    scores = q @ k.T
+    one key. q, k and v are (rows, d) or, with a leading head axis,
+    (h, rows, d), every head under the same keep. Its arrays are freed
+    before the next chunk's."""
+    scores = q @ k.swapaxes(-1, -2)
     np.copyto(scores, NEG_INF, where=~keep)
     return softmax_rows(scores, out=scores) @ v
 
 
 def _windowed(q, k, v, window: int) -> np.ndarray:
+    """Heads (h, n, d) in, (n, h * d_v) out, heads side by side."""
     # band[i, j] keeps key s - w + 1 + j for query s + i, whatever the chunk
     # start s; a chunk reads keys lo..e-1, the band's columns from off on
-    w = max(1, min(window, q.shape[0]))
+    h, n, d_v = v.shape
+    w = max(1, min(window, n))
     band = np.tri(ROW_CHUNK, ROW_CHUNK + w - 1, k=w - 1, dtype=bool)
     band &= ~np.tri(ROW_CHUNK, ROW_CHUNK + w - 1, k=-1, dtype=bool)
-    out = np.empty((q.shape[0], v.shape[1]))
-    for s in range(0, q.shape[0], ROW_CHUNK):
-        e = min(s + ROW_CHUNK, q.shape[0])
+    out = np.empty((n, h * d_v))
+    (heads,) = split_heads(h, out)
+    for s in range(0, n, ROW_CHUNK):
+        e = min(s + ROW_CHUNK, n)
         lo = max(0, s - w + 1)
         off = lo - s + w - 1
-        out[s:e] = _attend_rows(q[s:e], k[lo:e], v[lo:e], band[: e - s, off : off + e - lo])
+        heads[:, s:e] = _attend_rows(q[:, s:e], k[:, lo:e], v[:, lo:e], band[: e - s, off : off + e - lo])
     return ensure_finite(out, "attention")
 
 
-def full_attention(q, k, v) -> np.ndarray:
-    """Causal softmax attention: o_t = sum_{s<=t} softmax(q_t.k_s) v_s."""
-    q, k, v = _check_qkv(q, k, v)
-    return _windowed(q, k, v, q.shape[0])
+def full_attention(q, k, v, *, n_heads: int = 1) -> np.ndarray:
+    """Causal softmax attention: o_t = sum_{s<=t} softmax(q_t.k_s) v_s, per
+    head."""
+    q, k, v = split_heads(n_heads, *_check_qkv(q, k, v))
+    return _windowed(q, k, v, q.shape[1])
 
 
-def swa(q, k, v, window: int) -> np.ndarray:
-    """Sliding-window attention: softmax over the last `window` positions."""
+def swa(q, k, v, window: int, *, n_heads: int = 1) -> np.ndarray:
+    """Sliding-window attention: softmax over the last `window` positions,
+    per head."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    q, k, v = _check_qkv(q, k, v)
-    return _windowed(q, k, v, window)
+    return _windowed(*split_heads(n_heads, *_check_qkv(q, k, v)), window)
 
 
 def linear_attention_parallel(q, k, v) -> np.ndarray:

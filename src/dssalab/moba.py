@@ -20,6 +20,10 @@ log-sum-exp, as FlashAttention merges key tiles (Dao et al., arXiv
 2205.14135). The attention is O(n * top_k * block_size * d) work, not
 O(n^2 * d); the partials take O(n * top_k * d) memory, and no score array
 holds more than ROW_CHUNK x n entries, as in full attention.
+
+`moba_forward` takes n_heads = h heads side by side, q/k/v of shape
+(n, h * d). Rows [0, m) of every head run through one chunk loop; the rows
+from m on are routed head by head, each head on its own q and k.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ROW_CHUNK, _check_qkv, _windowed
-from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, top_k_mask
+from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, split_heads, top_k_mask
 
 
 @dataclass(frozen=True)
@@ -144,20 +148,24 @@ def _sparse_rows(q, k, v, selected, m: int, b: int, slots: int) -> np.ndarray:
     return merged[:, :-1] / merged[:, -1:]
 
 
-def moba_forward(q, k, v, params: MobaParams) -> np.ndarray:
-    """Exact softmax attention restricted to each query's selected blocks."""
-    q, k, v = _check_qkv(q, k, v)
-    n, b = q.shape[0], params.block_size
-    pooled = block_pool_keys(k, b)
-    slots = min(params.top_k, pooled.shape[0])
+def moba_forward(q, k, v, params: MobaParams, *, n_heads: int = 1) -> np.ndarray:
+    """Exact softmax attention restricted to each query's selected blocks,
+    per head: q/k/v hold n_heads heads side by side, (n, h * d), and the
+    result is (n, h * d_v) in the same layout. Each head routes on its own
+    q and k."""
+    q, k, v = split_heads(n_heads, *_check_qkv(q, k, v))
+    n, b = q.shape[1], params.block_size
+    slots = min(params.top_k, num_blocks(n, b))
     # rows before m see no more blocks than they select: they attend fully
     m = n if slots * b >= n else slots * b // ROW_CHUNK * ROW_CHUNK
-    out = np.empty((n, v.shape[1]))
-    out[:m] = _windowed(q[:m], k[:m], v[:m], m)
-    selected = moba_select(q[m:], pooled, params, m)  # zero rows when m == n
-    if m < n:
-        out[m:] = ensure_finite(_sparse_rows(q, k, v, selected, m, b, slots), "attention")
-    return out  # rows [0, m) were checked by _windowed
+    out = np.empty((n, n_heads * v.shape[2]))
+    out[:m] = _windowed(q[:, :m], k[:, :m], v[:, :m], m)  # checked there
+    (heads,) = split_heads(n_heads, out)
+    for qh, kh, vh, oh in zip(q, k, v, heads):
+        selected = moba_select(qh[m:], block_pool_keys(kh, b), params, m)  # zero rows when m == n
+        if m < n:
+            oh[m:] = ensure_finite(_sparse_rows(qh, kh, vh, selected, m, b, slots), "attention")
+    return out
 
 
 def activation_ratio(n: int, block_size: int, top_k: int) -> float:

@@ -12,7 +12,8 @@ over chunks of CHUNK gate-expanded rows, each chunk's output is its causal
 intra-chunk product plus its read of the state carried from earlier chunks,
 and the chunk then adds its keys and values to that state. The per-token
 recurrence `attention.linear_attention_recurrent` is the reference it is
-tested against.
+tested against. Heads side by side share one gate and run one scan, each
+with its own state (see sse_forward).
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import ShapeError, as_f64, ensure_finite, l2_normalize_rows, silu, softmax_rows, top_k_mask
+from .tensor_ops import (
+    ShapeError, as_f64, ensure_finite, l2_normalize_rows, silu, softmax_rows, split_heads, top_k_mask,
+)
 
 FEATURE_MAPS = ("identity", "silu")
 
@@ -87,19 +90,23 @@ def sse_gate(x, params: SSEParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chunked_scan(q, k, v) -> np.ndarray:
-    """o_t = q_t @ sum_{s<=t} outer(k_s, v_s), CHUNK rows at a time: the
-    chunk reads the state carried from earlier chunks, then adds to it."""
-    state = np.zeros((q.shape[1], v.shape[1]))
-    out = np.empty((q.shape[0], v.shape[1]))
-    for s in range(0, q.shape[0], CHUNK):
-        qc, kc, vc = q[s : s + CHUNK], k[s : s + CHUNK], v[s : s + CHUNK]
-        causal = _CAUSAL[: len(qc), : len(qc)]
-        out[s : s + CHUNK] = np.where(causal, qc @ kc.T, 0.0) @ vc + qc @ state
-        state += kc.T @ vc
+    """o_t = q_t @ sum_{s<=t} outer(k_s, v_s) per head, on (h, n, .) heads,
+    CHUNK rows at a time: the chunk reads the state carried from earlier
+    chunks, then adds to it. Returns (n, h * d_v), heads side by side."""
+    h, n, d_v = v.shape
+    state = np.zeros((h, q.shape[2], d_v))
+    out = np.empty((n, h * d_v))
+    (heads,) = split_heads(h, out)
+    for s in range(0, n, CHUNK):
+        qc, kc, vc = q[:, s : s + CHUNK], k[:, s : s + CHUNK], v[:, s : s + CHUNK]
+        causal = _CAUSAL[: qc.shape[1], : qc.shape[1]]
+        kt = kc.swapaxes(-1, -2)
+        heads[:, s : s + CHUNK] = np.where(causal, qc @ kt, 0.0) @ vc + qc @ state
+        state += kt @ vc
     return out
 
 
-def sse_forward(x, q, k, v, params: SSEParams) -> SSEResult:
+def sse_forward(x, q, k, v, params: SSEParams, *, n_heads: int = 1) -> SSEResult:
     """Deterministic causal scan over t = 1..n, in chunks of CHUNK rows.
 
     x drives the gate; q and k pass through the feature map and, when
@@ -109,6 +116,10 @@ def sse_forward(x, q, k, v, params: SSEParams) -> SSEResult:
     holds partition i and only receives a_{s,i}-weighted updates. Row t
     reads every update up to and including its own. The chunked sums
     differ from the per-token recurrence in rounding only.
+
+    q/k/v hold n_heads heads side by side, (n, h * d), and the outputs are
+    (n, h * d_v) in the same layout. The heads share one gate, routed once;
+    each head keeps its own state and L2-normalizes its own rows.
     """
     x, q, k, v = as_f64(x), as_f64(q), as_f64(k), as_f64(v)
     if (
@@ -116,6 +127,7 @@ def sse_forward(x, q, k, v, params: SSEParams) -> SSEResult:
         or q.shape[0] != v.shape[0] or x.shape[0] != q.shape[0]
     ):
         raise ShapeError(f"x/q/k/v shapes disagree: {x.shape}, {q.shape}, {k.shape}, {v.shape}")
+    q, k, v = split_heads(n_heads, q, k, v)
     if params.feature_map == "silu":
         q, k = silu(q), silu(k)
     if params.qk_l2_norm:
@@ -123,8 +135,8 @@ def sse_forward(x, q, k, v, params: SSEParams) -> SSEResult:
 
     gates, selected = sse_gate(x, params)
     a = np.where(selected, gates, 0.0)[:, :, None]
-    n, d = q.shape
-    expanded = (n, params.num_partitions * d)  # row t is a_t (x) q_t, partition-major
-    outputs = _chunked_scan((a * q[:, None, :]).reshape(expanded), (a * k[:, None, :]).reshape(expanded), v)
+    n, d = q.shape[1:]
+    expanded = (n_heads, n, params.num_partitions * d)  # row t of a head is a_t (x) q_t, partition-major
+    outputs = _chunked_scan(*((a * t[:, :, None, :]).reshape(expanded) for t in (q, k)), v)
     freqs = np.cumsum(selected, axis=0) / np.arange(1, n + 1)[:, None]
     return SSEResult(outputs=ensure_finite(outputs, "sse_forward"), gates=gates, freqs=freqs, selected=selected)

@@ -10,8 +10,11 @@ A decoder stack that mixes three attention mechanisms per a layer plan:
 * ``fa``: full causal softmax attention.
 
 Every layer is pre-norm: RMSNorm, attention, residual add, then RMSNorm,
-a SwiGLU feed-forward, residual add. The module also hosts the sensitivity
-driven procedure that picks which layers to run as ``moba``.
+a SwiGLU feed-forward, residual add. Each branch projects q, k and v once
+for all heads, side by side in d_model columns, and makes one mechanism
+call with ``n_heads``, so the SSE gate routes each layer's rows once. The
+module also hosts the sensitivity driven procedure that picks which layers
+to run as ``moba``.
 """
 
 from __future__ import annotations
@@ -158,15 +161,14 @@ def sse_swa_block(sse_out, swa_out, norm_sse, norm_swa, gate: float = 1.0) -> np
     return rms_norm(sse_out, norm_sse) + gate * rms_norm(swa_out, norm_swa)
 
 
-def _multihead(normed: np.ndarray, lw: dict, prefix: str, config: StackConfig,
-               per_head) -> np.ndarray:
-    """Project with the `prefix` q/k/v weights, run per_head on each head's
-    slices, concatenate the heads and apply the `prefix` output projection."""
+def _qkv(normed: np.ndarray, lw: dict, prefix: str, config: StackConfig) -> tuple[np.ndarray, ...]:
+    """The `prefix` q/k/v projections, every head side by side in (n, d_model)
+    columns, the layout the mechanisms' n_heads argument reads; q is scaled
+    by 1/sqrt(d_head) when configured."""
     q, k, v = (normed @ lw[f"{prefix}_w{name}"] for name in "qkv")
     if config.scale_qk:
         q = q / np.sqrt(config.d_head)
-    heads = zip(*(np.split(t, config.n_heads, axis=1) for t in (q, k, v)))
-    return np.concatenate([per_head(*h) for h in heads], axis=1) @ lw[f"{prefix}_wo"]
+    return q, k, v
 
 
 @dataclass
@@ -180,6 +182,9 @@ class StackTrace:
 
 def _attend(kind: str, normed: np.ndarray, lw: dict, config: StackConfig,
             gate: float) -> np.ndarray:
+    """One mechanism call per branch for all heads, then the branch's output
+    projection."""
+    h = config.n_heads
     if kind == "sse_swa":
         sse_params = SSEParams(
             num_partitions=config.sse_partitions,
@@ -187,19 +192,15 @@ def _attend(kind: str, normed: np.ndarray, lw: dict, config: StackConfig,
             gate_weight=lw["sse_gate"],
             feature_map="silu",
         )
-        sse_out = _multihead(
-            normed, lw, "sse", config,
-            lambda qh, kh, vh: sse_forward(normed, qh, kh, vh, sse_params).outputs,
-        )
-        swa_out = _multihead(
-            normed, lw, "swa", config, lambda qh, kh, vh: swa(qh, kh, vh, config.swa_window)
-        )
-        return sse_swa_block(sse_out, swa_out, lw["merge_norm_sse"], lw["merge_norm_swa"], gate=gate)
+        sse_out = sse_forward(normed, *_qkv(normed, lw, "sse", config), sse_params, n_heads=h).outputs
+        swa_out = swa(*_qkv(normed, lw, "swa", config), config.swa_window, n_heads=h)
+        return sse_swa_block(sse_out @ lw["sse_wo"], swa_out @ lw["swa_wo"],
+                             lw["merge_norm_sse"], lw["merge_norm_swa"], gate=gate)
     if kind == "moba":
         mp = MobaParams(block_size=config.moba_block_size, top_k=config.moba_top_k)
-        return _multihead(normed, lw, "moba", config, lambda qh, kh, vh: moba_forward(qh, kh, vh, mp))
+        return moba_forward(*_qkv(normed, lw, "moba", config), mp, n_heads=h) @ lw["moba_wo"]
     if kind == "fa":
-        return _multihead(normed, lw, "fa", config, full_attention)
+        return full_attention(*_qkv(normed, lw, "fa", config), n_heads=h) @ lw["fa_wo"]
     raise ValueError(f"unknown layer kind {kind!r}")
 
 

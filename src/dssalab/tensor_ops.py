@@ -25,6 +25,16 @@ def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def split_heads(n_heads: int, *xs: np.ndarray) -> list[np.ndarray]:
+    """2-D (n, h * d) arrays as (h, n, d), head i being columns
+    [i * d, (i + 1) * d): strided views, no copy, of arrays whose rows are
+    contiguous. Each width must split into n_heads >= 1 equal parts
+    (ShapeError)."""
+    if n_heads < 1 or any(x.shape[1] % n_heads for x in xs):
+        raise ShapeError(f"widths {[x.shape[1] for x in xs]} do not split into n_heads = {n_heads} heads")
+    return [x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2) for x in xs]
+
+
 def ensure_finite(x: np.ndarray, where: str) -> np.ndarray:
     """Raise NumericsError if x contains NaN or Inf."""
     if not np.all(np.isfinite(x)):

@@ -252,5 +252,10 @@ def test_attention_shape_validation():
             swa(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)), window)
     with pytest.raises(ShapeError):
         linear_attention_parallel(np.zeros((3, 2)), np.zeros((3, 3)), np.zeros((3, 2)))
+    # n_heads below 1, a width it does not divide, q/k and v widths that split differently
+    for mechanism in (full_attention, lambda q, k, v, n_heads: swa(q, k, v, 2, n_heads=n_heads)):
+        for n_heads, qk, v in ((0, 4, 4), (-1, 4, 4), (2, 3, 4), (2, 4, 3), (3, 6, 4)):
+            with pytest.raises(ShapeError, match=rf"widths \[{qk}, {qk}, {v}\]"):
+                mechanism(np.zeros((3, qk)), np.zeros((3, qk)), np.zeros((3, v)), n_heads=n_heads)
     with pytest.raises(ShapeError):
         masked_attention(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 4), dtype=bool))

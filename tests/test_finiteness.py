@@ -37,6 +37,11 @@ MECHANISMS = {
     "moba, edge rows full": lambda q, k, v: moba_forward(q, k, v, MobaParams(block_size=32, top_k=4)),
     "moba, split at the edge": lambda q, k, v: moba_forward(q, k, v, MobaParams(block_size=16, top_k=4)),
     "moba, edge rows routed": lambda q, k, v: moba_forward(q, k, v, MobaParams(block_size=8, top_k=4)),
+    # two heads side by side: a bad value in column 0 lies in head 0 alone
+    "full_attention, two heads": lambda q, k, v: full_attention(q, k, v, n_heads=2),
+    "swa, two heads": lambda q, k, v: swa(q, k, v, 8, n_heads=2),
+    "moba, edge rows routed, two heads":
+        lambda q, k, v: moba_forward(q, k, v, MobaParams(block_size=8, top_k=4), n_heads=2),
 }
 
 
@@ -86,6 +91,8 @@ def test_sse_forward_raises_on_non_finite_at_chunk_edges():
     rng = np.random.default_rng(32)
     params = SSEParams(num_partitions=4, top_k=2, gate_weight=rng.standard_normal((D, 4)))
     assert_each_raises(lambda x, q, k, v: sse_forward(x, q, k, v, params),
+                       [rng.standard_normal((N, D)) for _ in range(4)])
+    assert_each_raises(lambda x, q, k, v: sse_forward(x, q, k, v, params, n_heads=2),
                        [rng.standard_normal((N, D)) for _ in range(4)])
 
 

@@ -346,6 +346,9 @@ def test_params_validation():
         moba_forward(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((3, 2)), p)  # v rows differ
     with pytest.raises(ShapeError):
         moba_forward(np.zeros((4, 2)), np.zeros((5, 2)), np.zeros((4, 2)), p)
+    for n_heads, qk, v in ((0, 4, 4), (2, 3, 4), (2, 4, 3)):  # n_heads < 1, or widths it does not split
+        with pytest.raises(ShapeError, match=rf"widths \[{qk}, {qk}, {v}\]"):
+            moba_forward(np.zeros((4, qk)), np.zeros((4, qk)), np.zeros((4, v)), p, n_heads=n_heads)
     for n in (2, 300):  # a chunk that reads its prefix; rows that go block-major
         v = np.ones((n, 2))
         v[n - 2, 0] = np.inf  # in the query's own block, so always attended

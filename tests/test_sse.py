@@ -225,6 +225,9 @@ def test_forward_shape_errors():
         except ShapeError:
             continue
         pytest.fail(f"{name}: no ShapeError")
+    for n_heads, qk, v in ((0, 4, 4), (2, 3, 4), (2, 4, 3)):  # n_heads < 1, or widths it does not split
+        with pytest.raises(ShapeError, match=rf"widths \[{qk}, {qk}, {v}\]"):
+            sse_forward(good, np.zeros((3, qk)), np.zeros((3, qk)), np.zeros((3, v)), p, n_heads=n_heads)
     v = np.ones((3, 2))
     v[1, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="sse_forward"):

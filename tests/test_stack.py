@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import make_dip_profile
-from dssalab import stack
-from dssalab.attention import ROW_CHUNK, causal_keep, full_attention, masked_attention, window_keep
+from dssalab import sse, stack
+from dssalab.attention import ROW_CHUNK, causal_keep, full_attention, masked_attention, swa, window_keep
+from dssalab.moba import MobaParams, moba_forward, num_blocks
+from dssalab.sse import SSEParams, sse_forward
 from dssalab.stack import (
     DEFAULT_FA_LAYERS,
     DEFAULT_MOBA_LAYERS,
@@ -69,15 +71,78 @@ def test_default_stack_across_chunk_edges_matches_dense_masks(monkeypatch):
     got = [stack_forward(x, params, config).hidden for x in xs]
     assert config.moba_block_size >= max(lengths)  # one block: MoBA is full attention
 
-    def dense(q, k, v):
-        return masked_attention(q, k, v, causal_keep(len(q)))
+    def dense(keep):
+        # the 2-D oracle on each head's columns, the heads side by side again
+        def attend(q, k, v, *args, n_heads=1):
+            heads = zip(*(np.split(t, n_heads, axis=1) for t in (q, k, v)))
+            return np.concatenate([masked_attention(*h, keep(len(q), *args)) for h in heads], axis=1)
+        return attend
 
-    monkeypatch.setattr(stack, "full_attention", dense)
-    monkeypatch.setattr(stack, "moba_forward", lambda q, k, v, p: dense(q, k, v))
-    monkeypatch.setattr(stack, "swa", lambda q, k, v, w: masked_attention(q, k, v, window_keep(len(q), w)))
+    monkeypatch.setattr(stack, "full_attention", dense(causal_keep))
+    monkeypatch.setattr(stack, "moba_forward", dense(lambda n, p: causal_keep(n)))
+    monkeypatch.setattr(stack, "swa", dense(window_keep))
     for x, hidden in zip(xs, got):
         want = stack_forward(x, params, config).hidden
         assert np.max(np.abs(hidden - want)) <= 1e-12 * np.max(np.abs(want)), x.shape
+
+
+def test_default_stack_calls_each_mechanism_once_per_branch(monkeypatch):
+    # every head goes through one call; the SSE gate routes once per layer
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((sse, "sse_gate"), (stack, "sse_forward"), (stack, "swa"),
+                         (stack, "moba_forward"), (stack, "full_attention")):
+        count(module, name)
+    config = StackConfig()
+    params = init_stack_params(default_plan(), config, seed=0)
+    stack_forward(np.random.default_rng(0).normal(0.0, 1.0, (256, config.d_model)), params, config)
+    assert calls == {"sse_gate": 26, "sse_forward": 26, "swa": 26, "moba_forward": 9, "full_attention": 1}
+
+
+def test_hybrid_stack_equals_per_head_composition():
+    # MoBA routes rows: top_k * b = 72 puts m at 64, inside block 2 (48..71)
+    config = StackConfig(d_model=12, n_heads=3, d_ff=16, moba_block_size=24, moba_top_k=3, swa_window=20)
+    n = 150
+    assert ROW_CHUNK < n and min(config.moba_top_k, num_blocks(n, 24)) * 24 < n
+    params = init_stack_params(LayerPlan(kinds=("sse_swa", "moba", "fa")), config, seed=6)
+    x = np.random.default_rng(26).standard_normal((n, 12))
+    got = stack_forward(x, params, config).hidden
+
+    # re-derive layer by layer from 2-D single-head calls, heads concatenated
+    hidden = x.copy()
+    for layer in params:
+        lw = layer.weights
+        normed = rms_norm(hidden, lw["norm_attn"])
+
+        def per_head(prefix, call):
+            q, k, v = (normed @ lw[f"{prefix}_w{name}"] for name in "qkv")
+            cols = (np.split(t, config.n_heads, axis=1) for t in (q / np.sqrt(config.d_head), k, v))
+            return np.concatenate([call(*h) for h in zip(*cols)], axis=1) @ lw[f"{prefix}_wo"]
+
+        if layer.kind == "sse_swa":
+            sp = SSEParams(num_partitions=config.sse_partitions, top_k=config.sse_top_k,
+                           gate_weight=lw["sse_gate"], feature_map="silu")
+            attn = sse_swa_block(per_head("sse", lambda q, k, v: sse_forward(normed, q, k, v, sp).outputs),
+                                 per_head("swa", lambda q, k, v: swa(q, k, v, config.swa_window)),
+                                 lw["merge_norm_sse"], lw["merge_norm_swa"])
+        elif layer.kind == "moba":
+            mp = MobaParams(block_size=config.moba_block_size, top_k=config.moba_top_k)
+            attn = per_head("moba", lambda q, k, v: moba_forward(q, k, v, mp))
+        else:
+            attn = per_head("fa", full_attention)
+        hidden = hidden + attn
+        normed = rms_norm(hidden, lw["norm_mlp"])
+        hidden = hidden + (silu(normed @ lw["mlp_w1"]) * (normed @ lw["mlp_w3"])) @ lw["mlp_w2"]
+    assert np.array_equal(got, hidden)
 
 
 def test_zeroed_attention_layer_passes_input_through():
