@@ -9,16 +9,16 @@ single-head q/k/v of shape (n, d). `full_attention` and `swa` take
 columns [i * d, (i + 1) * d), and return (n, h * d_v) in the same layout;
 h = 1 is the single-head call.
 
-The softmax mechanisms share one kernel, `_attend_rows`: every head's query
-rows against contiguous key rows under one boolean keep mask. The heads are
-strided views (tensor_ops.split_heads), so BLAS reads each head in place.
-`_windowed` runs the kernel over chunks of at most ROW_CHUNK query rows,
-never an n x n array: full attention hands a chunk its causal prefix, the
-sliding window a band of chunk + window - 1 keys. Every chunk's keep mask is
-a view of one band built per call, which depends only on the window. MoBA
-runs its leading rows, which select every block they can see, through the
-same loop. A chunk holds every row's keys, so no online-softmax rescaling
-across key tiles is needed.
+The softmax mechanisms share one loop, `_windowed`, over chunks of at most
+ROW_CHUNK query rows of every head, never an n x n array: full attention
+hands a chunk its causal prefix, the sliding window a band of
+chunk + window - 1 keys, under a keep mask that is a view of one band built
+per call. The heads are strided views (tensor_ops.split_heads), so BLAS
+reads each head in place. A chunk takes tensor_ops.exp_rows of its scores
+and normalises after one GEMM against [V | 1], which gives P.V and the row
+sums together (FlashAttention-2, Dao, arXiv 2307.08691). MoBA runs its
+leading rows, which select every block they can see, through the same loop.
+A chunk holds every row's keys, so no key tile needs online rescaling.
 
 `masked_attention` under the dense `causal_keep` and `window_keep` masks is
 the oracle the core is tested against.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor_ops import NEG_INF, NumericsError, ShapeError, as_f64, ensure_finite, softmax_rows, split_heads
+from .tensor_ops import NEG_INF, NumericsError, ShapeError, as_f64, ensure_finite, exp_rows, softmax_rows, split_heads
 
 # query rows per chunk of the softmax core: a chunk's score array is at most
 # ROW_CHUNK x (keys it may see), never n x n. Picked by measurement over
@@ -75,31 +75,27 @@ def masked_attention(q, k, v, keep) -> np.ndarray:
     return ensure_finite(softmax_rows(scores) @ v, "masked_attention")
 
 
-def _attend_rows(q, k, v, keep) -> np.ndarray:
-    """Query row i attends key row j iff keep[i, j]; each row keeps at least
-    one key. q, k and v are (rows, d) or, with a leading head axis,
-    (h, rows, d), every head under the same keep. Its arrays are freed
-    before the next chunk's."""
-    scores = q @ k.swapaxes(-1, -2)
-    np.copyto(scores, NEG_INF, where=~keep)
-    return softmax_rows(scores, out=scores) @ v
-
-
 def _windowed(q, k, v, window: int) -> np.ndarray:
-    """Heads (h, n, d) in, (n, h * d_v) out, heads side by side."""
+    """Heads (h, n, d) in, (n, h * d_v) out, heads side by side; each chunk
+    divides its P.V by the row sums in the last column of P.[V | 1]."""
     # band[i, j] keeps key s - w + 1 + j for query s + i, whatever the chunk
     # start s; a chunk reads keys lo..e-1, the band's columns from off on
     h, n, d_v = v.shape
     w = max(1, min(window, n))
     band = np.tri(ROW_CHUNK, ROW_CHUNK + w - 1, k=w - 1, dtype=bool)
     band &= ~np.tri(ROW_CHUNK, ROW_CHUNK + w - 1, k=-1, dtype=bool)
+    v_ones = np.concatenate([v, np.ones((h, n, 1))], axis=2)
     out = np.empty((n, h * d_v))
     (heads,) = split_heads(h, out)
     for s in range(0, n, ROW_CHUNK):
         e = min(s + ROW_CHUNK, n)
         lo = max(0, s - w + 1)
         off = lo - s + w - 1
-        heads[:, s:e] = _attend_rows(q[:, s:e], k[:, lo:e], v[:, lo:e], band[: e - s, off : off + e - lo])
+        scores = q[:, s:e] @ k[:, lo:e].swapaxes(-1, -2)
+        np.copyto(scores, NEG_INF, where=~band[: e - s, off : off + e - lo])
+        exp_rows(scores)
+        pv = scores @ v_ones[:, lo:e]
+        heads[:, s:e] = pv[..., :-1] / pv[..., -1:]
     return ensure_finite(out, "attention")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import NumericsError, ShapeError, as_f64, ensure_finite
+from .tensor_ops import NumericsError, ShapeError, as_f64, ensure_finite, exp_rows
 
 # Recommended coefficients for the combined objectives.
 LLM_AUX_COEFF = 0.001
@@ -76,8 +76,8 @@ def aux_loss(gates, freqs, num_partitions: int, top_k: int) -> AuxLossResult:
 
 
 def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    e = row.copy()
+    return row - exp_rows(e) - np.log(np.sum(e))
 
 
 def kd_topk_kl(teacher_logits, student_logits, top_k: int = DEFAULT_TOPK) -> KdLossResult:

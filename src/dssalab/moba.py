@@ -15,9 +15,9 @@ attention's own chunk loop. Only rows from m on are routed, and they run
 block-major, as in MoBA's reference implementation (Lu et al., arXiv
 2502.13189): the rows that took key block j form one dense GEMM against
 it, with the causal triangle only on the rows inside block j. Each row
-keeps one partial softmax per selected block and merges them by
-log-sum-exp, as FlashAttention merges key tiles (Dao et al., arXiv
-2205.14135). The attention is O(n * top_k * block_size * d) work, not
+keeps one partial softmax per selected block, tensor_ops.exp_rows and a
+GEMM against [V | 1] as in full attention, merged by log-sum-exp (Dao et
+al., arXiv 2205.14135). The work is O(n * top_k * block_size * d), not
 O(n^2 * d); the partials take O(n * top_k * d) memory, and no score array
 holds more than ROW_CHUNK x n entries, as in full attention.
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import ROW_CHUNK, _check_qkv, _windowed
-from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, split_heads, top_k_mask
+from .tensor_ops import NEG_INF, ShapeError, as_f64, ensure_finite, exp_rows, split_heads, top_k_mask
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,9 @@ def _sparse_rows(q, k, v, selected, m: int, b: int, slots: int) -> np.ndarray:
     it, split so that a score array never holds more than ROW_CHUNK x n
     entries, full attention's largest chunk. Rows inside block j keep only
     the keys up to their own position; rows that took j as an earlier block
-    see all of it. Each (row, slot) keeps the partial softmax of one block,
-    its max and its P.V beside its exp-sum, and a row's slots merge by
-    log-sum-exp.
+    see all of it. Each (row, slot) keeps the partial softmax of one block:
+    exp_rows on the transposed scores gives its max, one GEMM against
+    [V | 1] its P.V and exp-sum. A row's slots merge by log-sum-exp.
     """
     rows, nb = selected.shape
     blocks, picks = np.nonzero(selected.T)  # block-major, rows ascending in a block
@@ -139,12 +139,10 @@ def _sparse_rows(q, k, v, selected, m: int, b: int, slots: int) -> np.ndarray:
             scores = k[lo:hi] @ q[t[s:e]].T
             own = np.searchsorted(t[s:e], hi - 1)  # rows ending inside block j come first
             np.copyto(scores[:, :own], NEG_INF, where=np.arange(lo, hi)[:, None] > t[s : s + own])
-            row_max = scores.max(axis=0)
-            top[i, slot] = row_max
-            np.subtract(scores, row_max, out=scores)
-            np.exp(scores, out=scores)
+            top[i, slot] = exp_rows(scores.T)[:, 0]
             part[i, slot] = scores.T @ v_ones[lo:hi]
-    merged = np.einsum("rs,rsd->rd", np.exp(top - top.max(axis=1, keepdims=True)), part)
+    exp_rows(top)  # each slot's weight against the row's largest max
+    merged = np.einsum("rs,rsd->rd", top, part)
     return merged[:, :-1] / merged[:, -1:]
 
 

@@ -1,7 +1,7 @@
 """Minimal dense numeric primitives shared by all modules.
 
 Arrays are row-major, float64 unless noted. A public function checks once
-that no NaN/Inf leaves it; softmax_rows does so by its row maxima alone.
+that no NaN/Inf leaves it; exp_rows, under every softmax, by its row maxima.
 """
 
 from __future__ import annotations
@@ -42,20 +42,26 @@ def ensure_finite(x: np.ndarray, where: str) -> np.ndarray:
     return x
 
 
-def softmax_rows(x, out=None) -> np.ndarray:
-    """Row-wise softmax with max-subtraction stabilization, written to `out`
-    when given, which may be x itself. Entries of -inf get weight 0.
+def exp_rows(x: np.ndarray) -> np.ndarray:
+    """exp(x - row max) in place over the last axis of float64 x, a strided
+    view or not, -inf becoming 0; returns the row maxima (keepdims).
 
     The row maxima alone are checked: a NaN, a +inf or a row of all -inf
     makes one non-finite (NumericsError). Finite maxima give exp arguments
-    <= 0, one of them 0, so row sums in [1, cols] and a finite output.
+    <= 0, one of them 0, so row sums in [1, cols] and a finite softmax.
     """
-    x = as_f64(x)
     row_max = np.max(x, axis=-1, keepdims=True)
     if not np.isfinite(row_max).all():
         raise NumericsError("softmax row with a NaN, a +inf, or every position masked")
-    e = np.subtract(x, row_max, out=out)
-    np.exp(e, out=e)
+    np.subtract(x, row_max, out=x)
+    np.exp(x, out=x)
+    return row_max
+
+
+def softmax_rows(x) -> np.ndarray:
+    """Row-wise softmax on a copy of x: exp_rows, divided by the row sums."""
+    e = np.array(x, dtype=np.float64)
+    exp_rows(e)
     return np.divide(e, np.sum(e, axis=-1, keepdims=True), out=e)
 
 

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import chunk_edge_lengths
-from dssalab import attention
 from dssalab.attention import (
     ROW_CHUNK,
     causal_keep,
@@ -21,7 +20,7 @@ from dssalab.attention import (
 )
 from dssalab.moba import MobaParams, block_pool_keys, moba_forward, moba_select, moba_selections
 from dssalab.sse import SSEParams, sse_forward
-from dssalab.tensor_ops import NumericsError, ShapeError
+from dssalab.tensor_ops import NEG_INF, NumericsError, ShapeError, exp_rows
 
 # lengths around the chunk boundaries of the softmax core
 CHUNK_LENGTHS = (1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3)
@@ -150,8 +149,7 @@ def test_chunked_core_matches_masked_oracle():
         q, k, v = (rng.standard_normal((n, 8)) for _ in range(3))
         got = full_attention(q, k, v)
         want = masked_attention(q, k, v, causal_keep(n))
-        if n <= ROW_CHUNK:  # one chunk is the oracle's own computation
-            assert np.array_equal(got, want)
+        assert np.array_equal(swa(q, k, v, n), got)  # one loop: a window of n is full attention
         assert np.max(np.abs(got - want)) < 1e-12
         for window in (1, ROW_CHUNK // 2, ROW_CHUNK + 37, n, n + 5):
             got = swa(q, k, v, window)
@@ -172,10 +170,11 @@ def test_chunk_edges_match_masked_oracle_property(case, seed):
     n, window = case
     rng = np.random.default_rng(seed)
     q, k, v = (rng.standard_normal((n, 8)) for _ in range(3))
-    for got, keep in ((full_attention(q, k, v), causal_keep(n)), (swa(q, k, v, window), window_keep(n, window))):
+    full = full_attention(q, k, v)
+    # one loop: a window of n or more is full attention
+    assert np.array_equal(swa(q, k, v, max(n, window)), full)
+    for got, keep in ((full, causal_keep(n)), (swa(q, k, v, window), window_keep(n, window))):
         want = masked_attention(q, k, v, keep)
-        if n <= ROW_CHUNK:  # one chunk is the oracle's own computation
-            assert np.array_equal(got, want)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -222,8 +221,9 @@ def test_attention_numerics_errors():
     keep[2] = False
     with pytest.raises(NumericsError):
         masked_attention(q[:4], k[:4], v[:4], keep)
+    scores = np.where(keep, q[:4] @ k[:4].T, NEG_INF)
     with pytest.raises(NumericsError):
-        attention._attend_rows(q[:4], k[:4], v[:4], keep)
+        exp_rows(scores)
 
 
 def test_zero_query_rows_give_empty_outputs():

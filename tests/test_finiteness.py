@@ -1,13 +1,13 @@
 """A NaN or a +inf at a chunk edge of any input raises NumericsError from
 every public mechanism, the stack and the row softmax.
 
-Each public function checks finiteness once (see tensor_ops): softmax_rows
-by its row maxima, full and sliding-window attention once over their
-output, MoBA's routed rows once after the merge. The attention mechanisms
-also refuse a non-finite q, k or v on entry, since a +inf key can weigh 0.
-These tests put the bad value on the last row of a chunk and the first row
-of the next, where a check that skips a chunk or a split would let it
-through.
+Each public function checks finiteness once (see tensor_ops): exp_rows, the
+shifted exp under every softmax, by its row maxima, full and sliding-window
+attention once over their output, MoBA's routed rows once after the merge.
+The attention mechanisms also refuse a non-finite q, k or v on entry, since
+a +inf key can weigh 0. These tests put the bad value on the last row of a
+chunk and the first row of the next, where a check that skips a chunk or a
+split would let it through.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dssalab.attention import ROW_CHUNK, full_attention, swa
 from dssalab.moba import MobaParams, moba_forward
 from dssalab.sse import CHUNK, SSEParams, sse_forward
 from dssalab.stack import LayerPlan, StackConfig, init_stack_params, stack_forward
-from dssalab.tensor_ops import NEG_INF, NumericsError, softmax_rows
+from dssalab.tensor_ops import NEG_INF, NumericsError, exp_rows, softmax_rows
 
 EDGE_ROWS = sorted({ROW_CHUNK - 1, ROW_CHUNK, CHUNK})
 N = 2 * ROW_CHUNK + 3  # three chunks, the last one of three rows
@@ -107,7 +107,9 @@ def test_softmax_rows_checks_every_row_at_chunk_edges():
     rng = np.random.default_rng(34)
     x = rng.standard_normal((N, 5))
     x[:, 1] = NEG_INF  # -inf beside finite entries: weight 0, no error
+    before = x.copy()
     got = softmax_rows(x)
+    assert np.array_equal(x, before)  # softmax_rows works on a copy
     assert np.all(got[:, 1] == 0.0) and np.allclose(got.sum(axis=1), 1.0)
     bad_rows = {"a NaN": [0.0, np.nan, 1.0, NEG_INF, 2.0], "a +inf": [0.0, np.inf, 1.0, NEG_INF, 2.0],
                 "all -inf": [NEG_INF] * 5}
@@ -116,5 +118,9 @@ def test_softmax_rows_checks_every_row_at_chunk_edges():
         y[row] = bad
         with pytest.raises(NumericsError):
             softmax_rows(y)
+        # exp_rows, the shifted exp under every softmax, on y and on the
+        # keys-down layout MoBA's routed rows hand it
         with pytest.raises(NumericsError):
-            softmax_rows(y, out=y)
+            exp_rows(y.copy())
+        with pytest.raises(NumericsError):
+            exp_rows(y.T.copy().T)

@@ -286,6 +286,16 @@ def test_forward_matches_masked_form_property(case, seed):
     assert np.array_equal(got[:m], full_attention(q, k, v)[:m])
 
 
+def test_forward_at_scores_past_exp_overflow_matches_masked_form():
+    # scores reach the thousands, where exp overflows unless each row's
+    # partials and their log-sum-exp merge are shifted by their maxima
+    rng = np.random.default_rng(16)
+    for n, b, top_k in ((200, 8, 3), (150, 5, 4), (300, 16, 2)):
+        q, k, v = (rng.standard_normal((n, 8)) for _ in range(3))
+        p = MobaParams(block_size=b, top_k=top_k)
+        assert np.max(np.abs(moba_forward(100.0 * q, k, v, p) - masked_form(100.0 * q, k, v, p))) < 1e-12
+
+
 def test_forward_selecting_all_is_full_attention_bit_for_bit():
     rng = np.random.default_rng(15)
     for n, b in ((5, 2), (ROW_CHUNK + 1, 4), (2 * ROW_CHUNK + 3, 64)):
