@@ -2,8 +2,10 @@
 
 Subcommands:
 
-* attn-check: run the attention equivalence suites; JSON report, exit 0
-  only if every property holds.
+* attn-check: run each attention mechanism's package path against its
+  reference (another form, or masked_attention under a dense keep mask)
+  on seeded inputs; JSON report of each pair's worst error, exit 0 only
+  if every pair is within tolerance.
 * quant-report: blockwise INT8 stats (chosen clips, per-block MSE) for a
   tensor file.
 * spike-report: spike expansion stats (firing rate, add/skip events) for
@@ -39,6 +41,7 @@ from .attention import (
     linear_attention_parallel,
     linear_attention_recurrent,
     masked_attention,
+    swa,
     window_keep,
 )
 from .moba import MobaParams, block_pool_keys, moba_forward, moba_select, moba_selections
@@ -113,24 +116,19 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------- attn-check
 
 
-def _swa_via_mask(q, k, v, window: int, fault: bool) -> np.ndarray:
-    # explicit mask route so the fault flag can flip one keep bit
-    n = q.shape[0]
-    keep = window_keep(n, window)
-    if fault and n >= 2:
-        keep[n - 1, 0] = False
+def _masked(q, k, v, keep: np.ndarray, fault: bool) -> np.ndarray:
+    # the dense-mask reference; the fault drops the last row's first kept
+    # key, never its only one where it is injected (n >= 2)
+    if fault:
+        keep[-1, np.argmax(keep[-1])] = False
     return masked_attention(q, k, v, keep)
 
 
-def _moba_via_mask(q, k, v, params: MobaParams, fault: bool) -> np.ndarray:
-    # the selected blocks expanded to a dense keep mask; the fault drops the
-    # last row's first kept key, which is never its only one at n >= 2
+def _moba_keep(q, k, params: MobaParams) -> np.ndarray:
+    """moba_select's block mask expanded to a dense causal keep mask."""
     n, b = q.shape[0], params.block_size
     selected = moba_select(q, block_pool_keys(k, b), params)
-    keep = np.repeat(selected, b, axis=1)[:, :n] & causal_keep(n)
-    if fault and n >= 2:
-        keep[n - 1, np.argmax(keep[n - 1])] = False
-    return masked_attention(q, k, v, keep)
+    return np.repeat(selected, b, axis=1)[:, :n] & causal_keep(n)
 
 
 def cmd_attn_check(args) -> int:
@@ -139,48 +137,36 @@ def cmd_attn_check(args) -> int:
         # n >= 2, where that row keeps another
         raise ValueError("--inject-fault needs a length of at least 2 in --sizes")
     rng = np.random.default_rng(args.seed)
-    errors = {
-        "linear_parallel_vs_recurrent": 0.0,
-        "sse_single_partition_vs_linear_parallel": 0.0,
-        "moba_select_all_vs_full": 0.0,
-        "moba_sparse_vs_masked": 0.0,
-        "swa_full_window_vs_full": 0.0,
-    }
+    errors: dict[str, float] = {}
     fault_pending = args.inject_fault
     for n in args.sizes:
         for d in args.dims:
             for _ in range(args.trials):
                 q, k, v = (rng.standard_normal((n, d)) * 0.3 for _ in range(3))
-                lin_par = linear_attention_parallel(q, k, v)
-                lin_rec = linear_attention_recurrent(q, k, v)
-                errors["linear_parallel_vs_recurrent"] = max(
-                    errors["linear_parallel_vs_recurrent"], _max_abs_diff(lin_par, lin_rec)
-                )
-                sse_params = SSEParams(num_partitions=1, top_k=1, gate_weight=np.zeros((d, 1)))
-                sse_out = sse_forward(q, q, k, v, sse_params).outputs
-                errors["sse_single_partition_vs_linear_parallel"] = max(
-                    errors["sse_single_partition_vs_linear_parallel"], _max_abs_diff(sse_out, lin_par)
-                )
-                full = full_attention(q, k, v)
-                moba_params = MobaParams(block_size=2, top_k=(n + 1) // 2 + 1)
-                errors["moba_select_all_vs_full"] = max(
-                    errors["moba_select_all_vs_full"],
-                    _max_abs_diff(moba_forward(q, k, v, moba_params), full),
-                )
                 fault = fault_pending and n >= 2
                 if fault:
                     fault_pending = False
+                lin_par = linear_attention_parallel(q, k, v)
+                sse_params = SSEParams(num_partitions=1, top_k=1, gate_weight=np.zeros((d, 1)))
+                select_all = MobaParams(block_size=2, top_k=(n + 1) // 2 + 1)
                 # about 8 blocks and 4 slots: past n = 4, some rows read
                 # their selection rather than attending fully
                 sparse = MobaParams(block_size=max(1, n // 8), top_k=4)
-                errors["moba_sparse_vs_masked"] = max(
-                    errors["moba_sparse_vs_masked"],
-                    _max_abs_diff(moba_forward(q, k, v, sparse), _moba_via_mask(q, k, v, sparse, fault)),
-                )
-                errors["swa_full_window_vs_full"] = max(
-                    errors["swa_full_window_vs_full"],
-                    _max_abs_diff(_swa_via_mask(q, k, v, n, fault), full),
-                )
+                # a window of n // 2 cuts the band from n = 3 on
+                w = max(2, n // 2)
+                # name -> (package path, reference)
+                rows = {
+                    "linear_parallel_vs_recurrent": (lin_par, linear_attention_recurrent(q, k, v)),
+                    "sse_single_partition_vs_linear_parallel": (
+                        sse_forward(q, q, k, v, sse_params).outputs, lin_par),
+                    "moba_select_all_vs_full": (moba_forward(q, k, v, select_all), full_attention(q, k, v)),
+                    "moba_sparse_vs_masked": (
+                        moba_forward(q, k, v, sparse), _masked(q, k, v, _moba_keep(q, k, sparse), fault)),
+                    "swa_full_window_vs_full": (swa(q, k, v, n), _masked(q, k, v, window_keep(n, n), fault)),
+                    "swa_vs_masked": (swa(q, k, v, w), _masked(q, k, v, window_keep(n, w), fault)),
+                }
+                for name, (got, want) in rows.items():
+                    errors[name] = max(errors.get(name, 0.0), _max_abs_diff(got, want))
     properties = [
         {"name": name, "max_abs_error": err, "tolerance": args.tolerance, "pass": err <= args.tolerance}
         for name, err in sorted(errors.items())

@@ -67,17 +67,21 @@ def aux_loss(gates, freqs, num_partitions: int, top_k: int) -> AuxLossResult:
         raise ShapeError(f"gates shape {gates.shape} != (n, {num_partitions})")
     if not 1 <= top_k <= num_partitions:
         raise ValueError(f"need 1 <= top_k <= num_partitions, got {top_k}/{num_partitions}")
+    if gates.shape[0] == 0:
+        raise ValueError("aux_loss needs at least one token, got 0")
     if not np.allclose(gates.sum(axis=1), 1.0, atol=1e-8):
         raise ValueError("gate rows must sum to 1")
-    if freqs.min() < 0.0 or freqs.max() > 1.0:
+    # written so that a NaN, whose comparisons are all False, fails too
+    if not (0.0 <= freqs.min() and freqs.max() <= 1.0):
         raise ValueError("running frequencies must lie in [0, 1]")
     raw = float(num_partitions / top_k * np.sum(freqs * gates))
     return AuxLossResult(raw=raw, per_token=raw / gates.shape[0])
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    e = row.copy()
-    return row - exp_rows(e) - np.log(np.sum(e))
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a 2-D x."""
+    e = x.copy()
+    return x - exp_rows(e) - np.log(np.sum(e, axis=1, keepdims=True))
 
 
 def kd_topk_kl(teacher_logits, student_logits, top_k: int = DEFAULT_TOPK) -> KdLossResult:
@@ -94,23 +98,21 @@ def kd_topk_kl(teacher_logits, student_logits, top_k: int = DEFAULT_TOPK) -> KdL
     ensure_finite(teacher, "kd_topk_kl teacher")
     ensure_finite(student, "kd_topk_kl student")
     n, vocab = teacher.shape
+    if n == 0:
+        raise ValueError("kd_topk_kl needs at least one token, got 0")
     if not 1 <= top_k <= vocab:
         raise ValueError(f"need 1 <= top_k <= vocab size, got {top_k}/{vocab}")
 
-    total = 0.0
-    clamped_tokens = 0
+    # stable sort = lowest index wins ties
+    support = np.argsort(-teacher, axis=1, kind="stable")[:, :top_k]
+    log_p = _log_softmax(np.take_along_axis(teacher, support, axis=1))
+    log_q = _log_softmax(np.take_along_axis(student, support, axis=1))
     log_floor = np.log(STUDENT_PROB_FLOOR)
-    for t in range(n):
-        order = np.argsort(-teacher[t], kind="stable")  # stable sort = lowest index wins ties
-        support = order[:top_k]
-        log_p = _log_softmax(teacher[t, support])
-        log_q = _log_softmax(student[t, support])
-        if np.any(log_q < log_floor):
-            clamped_tokens += 1
-            log_q = np.maximum(log_q, log_floor)
-        p = np.exp(log_p)
-        total += float(np.sum(p * (log_p - log_q)))
-    return KdLossResult(value=total / n, clamped_tokens=clamped_tokens)
+    clamped_tokens = int(np.count_nonzero((log_q < log_floor).any(axis=1)))
+    log_q = np.maximum(log_q, log_floor)
+    per_token = np.sum(np.exp(log_p) * (log_p - log_q), axis=1)
+    # the tokens summed one after another, as a per-token loop would
+    return KdLossResult(value=sum(per_token.tolist()) / n, clamped_tokens=clamped_tokens)
 
 
 def layerwise_mse(student_layers, teacher_layers) -> float:
@@ -120,12 +122,20 @@ def layerwise_mse(student_layers, teacher_layers) -> float:
     if len(student_layers) == 0:
         raise ValueError("need at least one layer")
     per_layer = []
-    for s, t in zip(student_layers, teacher_layers):
-        s, t = as_f64(s), as_f64(t)
-        if s.shape != t.shape or s.ndim != 2:
-            raise ShapeError(f"layer shapes disagree: {s.shape} vs {t.shape}")
-        per_layer.append(float(np.mean(np.sum((s - t) ** 2, axis=1))))
-    return float(np.mean(per_layer))
+    # an infinity, or a square or sum past float64, is refused below rather
+    # than warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (s, t) in enumerate(zip(student_layers, teacher_layers)):
+            s, t = as_f64(s), as_f64(t)
+            if s.shape != t.shape or s.ndim != 2:
+                raise ShapeError(f"layer shapes disagree: {s.shape} vs {t.shape}")
+            if s.shape[0] == 0:
+                raise ValueError(f"layerwise_mse needs at least one token per layer, layer {i} has 0")
+            per_layer.append(float(np.mean(np.sum((s - t) ** 2, axis=1))))
+        mse = float(np.mean(per_layer))
+    if not np.isfinite(mse):
+        raise NumericsError(f"layerwise_mse is not finite: {mse}")
+    return mse
 
 
 def _ratio_mse_term(kd: float, mse: float, beta: float) -> float:

@@ -20,7 +20,7 @@ from conftest import make_dip_profile
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dssalab import cli, quant, tensorio
+from dssalab import attention, cli, quant, tensorio
 from dssalab.cli import main, parse_length
 from dssalab.losses import combined_loss_llm
 from dssalab.stack import LAYER_KINDS, LayerPlan, default_plan
@@ -64,6 +64,7 @@ def test_attn_check_passes_and_reports():
         "moba_select_all_vs_full",
         "moba_sparse_vs_masked",
         "swa_full_window_vs_full",
+        "swa_vs_masked",
     }
     assert all(p["pass"] for p in blob["properties"])
     assert all(p["max_abs_error"] <= p["tolerance"] for p in blob["properties"])
@@ -78,9 +79,20 @@ def test_attn_check_fault_injection_fails():
     by_name = {p["name"]: p for p in blob["properties"]}
     assert by_name["swa_full_window_vs_full"]["pass"] is False
     assert by_name["moba_sparse_vs_masked"]["pass"] is False
+    assert by_name["swa_vs_masked"]["pass"] is False
     # the fault only touches the window and sparse MoBA suites
     assert by_name["linear_parallel_vs_recurrent"]["pass"] is True
     assert by_name["moba_select_all_vs_full"]["pass"] is True
+
+
+def test_attn_check_fails_on_a_window_one_key_too_wide(monkeypatch):
+    # a band that keeps one key past the window equals full attention at a
+    # window of n, so only the row with a window that cuts the band sees it
+    monkeypatch.setattr(cli, "swa", lambda q, k, v, window: attention.swa(q, k, v, window + 1))
+    code, out = run_cli(["attn-check", "--sizes", "4,63,65"])
+    assert code == 1
+    failing = [p["name"] for p in json.loads(out)["properties"] if not p["pass"]]
+    assert failing == ["swa_vs_masked"]
 
 
 def test_quant_report_and_container_roundtrip(tmp_path, tensor_file):

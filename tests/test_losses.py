@@ -1,13 +1,16 @@
 """Tests for the load-balance, distillation, and combined objectives.
 
 The top-K KL path is checked against a longdouble oracle that picks the
-support, normalizes, and sums the KL terms with explicit scalar loops.
+support, normalizes, and sums the KL terms with explicit scalar loops, and
+bit for bit against the per-token float64 loop it replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dssalab.losses import (
     DEFAULT_TOPK,
@@ -23,7 +26,7 @@ from dssalab.losses import (
     kd_topk_kl,
     layerwise_mse,
 )
-from dssalab.tensor_ops import NumericsError, ShapeError
+from dssalab.tensor_ops import NumericsError, ShapeError, exp_rows
 
 
 def kl_topk_oracle(teacher: np.ndarray, student: np.ndarray, top_k: int) -> float:
@@ -49,6 +52,28 @@ def kl_topk_oracle(teacher: np.ndarray, student: np.ndarray, top_k: int) -> floa
             qi = max(qi, np.longdouble(STUDENT_PROB_FLOOR))
             total += pi * (np.log(pi) - np.log(qi))
     return float(total / n)
+
+
+def kd_per_token(teacher: np.ndarray, student: np.ndarray, top_k: int) -> tuple[float, int]:
+    """The per-token loop kd_topk_kl replaced: (value, clamped tokens), the
+    same float64 operations one token row at a time."""
+
+    def log_softmax(row):
+        e = row.copy()
+        return row - exp_rows(e) - np.log(np.sum(e))
+
+    total = 0.0
+    clamped_tokens = 0
+    log_floor = np.log(STUDENT_PROB_FLOOR)
+    for t in range(teacher.shape[0]):
+        support = np.argsort(-teacher[t], kind="stable")[:top_k]
+        log_p = log_softmax(teacher[t, support])
+        log_q = log_softmax(student[t, support])
+        if np.any(log_q < log_floor):
+            clamped_tokens += 1
+            log_q = np.maximum(log_q, log_floor)
+        total += float(np.sum(np.exp(log_p) * (log_p - log_q)))
+    return total / teacher.shape[0], clamped_tokens
 
 
 def test_default_coefficients():
@@ -85,6 +110,18 @@ def test_aux_loss_hand_computed():
     res = aux_loss(gates, freqs, 2, 1)
     assert res.raw == pytest.approx(want, abs=1e-12)
     assert res.per_token == pytest.approx(want / 3.0, abs=1e-12)
+
+
+def test_aux_loss_refuses_nan_frequency():
+    freqs = np.full((4, 4), 0.5)
+    freqs[2, 1] = np.nan
+    with pytest.raises(ValueError, match="running frequencies"):
+        aux_loss(np.full((4, 4), 0.25), freqs, 4, 2)
+
+
+def test_aux_loss_refuses_zero_tokens():
+    with pytest.raises(ValueError, match="at least one token, got 0"):
+        aux_loss(np.zeros((0, 4)), np.zeros((0, 4)), 4, 2)
 
 
 def test_aux_loss_validation():
@@ -156,6 +193,26 @@ def test_kd_clamps_underflowing_student_and_counts_tokens():
     assert res.value > 10.0
 
 
+@given(st.data())
+def test_kd_equals_per_token_loop(data):
+    # a few repeated logits make ties; gaps past -log(floor) = 27.6 clamp
+    n = data.draw(st.integers(1, 6))
+    vocab = data.draw(st.integers(1, 24))
+    top_k = data.draw(st.integers(1, vocab))
+    logit = st.one_of(st.sampled_from([-2.0, 0.0, 1.0]), st.floats(-80.0, 80.0))
+    teacher, student = (
+        np.array(data.draw(st.lists(logit, min_size=n * vocab, max_size=n * vocab))).reshape(n, vocab)
+        for _ in range(2)
+    )
+    got = kd_topk_kl(teacher, student, top_k=top_k)
+    assert (got.value, got.clamped_tokens) == kd_per_token(teacher, student, top_k)
+
+
+def test_kd_refuses_zero_tokens():
+    with pytest.raises(ValueError, match="at least one token, got 0"):
+        kd_topk_kl(np.zeros((0, 8)), np.zeros((0, 8)), top_k=2)
+
+
 def test_kd_validation():
     with pytest.raises(ShapeError):
         kd_topk_kl(np.zeros((2, 8)), np.zeros((3, 8)))
@@ -194,6 +251,20 @@ def test_layerwise_mse_matches_scalar_oracle():
         acc += layer / 4.0
     want = acc / 2.0
     assert layerwise_mse(s, t) == pytest.approx(want, rel=1e-14)
+
+
+def test_layerwise_mse_refuses_non_finite_result():
+    # an infinite layer, and finite layers whose squares pass float64
+    zeros = np.zeros((3, 2))
+    with pytest.raises(NumericsError):
+        layerwise_mse([zeros, np.full((3, 2), np.inf)], [zeros, zeros])
+    with pytest.raises(NumericsError):
+        layerwise_mse([np.full((3, 2), 1e200)], [np.full((3, 2), -1e200)])
+
+
+def test_layerwise_mse_refuses_zero_tokens():
+    with pytest.raises(ValueError, match="layer 1 has 0"):
+        layerwise_mse([np.zeros((2, 3)), np.zeros((0, 3))], [np.zeros((2, 3)), np.zeros((0, 3))])
 
 
 def test_layerwise_mse_validation():
