@@ -79,9 +79,11 @@ def aux_loss(gates, freqs, num_partitions: int, top_k: int) -> AuxLossResult:
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax of a 2-D x."""
+    """Row-wise log-softmax of a 2-D x. An entry more than float64's range
+    below its row maximum gets -inf: its probability is 0 in float64."""
     e = x.copy()
-    return x - exp_rows(e) - np.log(np.sum(e, axis=1, keepdims=True))
+    with np.errstate(over="ignore"):
+        return x - exp_rows(e) - np.log(np.sum(e, axis=1, keepdims=True))
 
 
 def kd_topk_kl(teacher_logits, student_logits, top_k: int = DEFAULT_TOPK) -> KdLossResult:
@@ -90,7 +92,7 @@ def kd_topk_kl(teacher_logits, student_logits, top_k: int = DEFAULT_TOPK) -> KdL
     Per token, the K largest teacher logits (ties toward the lower vocab
     index) define the support; both distributions are renormalized over
     that same support before KL. Student probabilities below 1e-12 are
-    clamped and counted.
+    clamped and counted; a teacher probability of 0 contributes 0.
     """
     teacher, student = as_f64(teacher_logits), as_f64(student_logits)
     if teacher.shape != student.shape or teacher.ndim != 2:
@@ -110,7 +112,8 @@ def kd_topk_kl(teacher_logits, student_logits, top_k: int = DEFAULT_TOPK) -> KdL
     log_floor = np.log(STUDENT_PROB_FLOOR)
     clamped_tokens = int(np.count_nonzero((log_q < log_floor).any(axis=1)))
     log_q = np.maximum(log_q, log_floor)
-    per_token = np.sum(np.exp(log_p) * (log_p - log_q), axis=1)
+    p = np.exp(log_p)
+    per_token = np.sum(np.multiply(p, log_p - log_q, out=np.zeros_like(p), where=p > 0), axis=1)
     # the tokens summed one after another, as a per-token loop would
     return KdLossResult(value=sum(per_token.tolist()) / n, clamped_tokens=clamped_tokens)
 
@@ -139,16 +142,14 @@ def layerwise_mse(student_layers, teacher_layers) -> float:
 
 
 def _ratio_mse_term(kd: float, mse: float, beta: float) -> float:
-    """beta * |kd/mse| * mse, computed literally and cross-checked against
-    its algebraic simplification beta * |kd|."""
+    """beta * |kd/mse| * mse in its closed form beta * |kd| for mse > 0; the
+    literal quotient overflows float64 at a small enough mse (1e-310, say)."""
+    if mse < 0.0:
+        raise ValueError(f"mse is a squared distance, got {mse}")
     if mse == 0.0:
         warnings.warn("mse is 0; the ratio-weighted term is defined as 0", RuntimeWarning, stacklevel=3)
         return 0.0
-    term = beta * abs(kd / mse) * mse
-    simplified = beta * abs(kd)
-    if abs(term - simplified) > 1e-12 * max(1.0, abs(simplified)):
-        raise NumericsError(f"ratio term {term} drifted from {simplified}")
-    return term
+    return beta * abs(kd)
 
 
 def combined_loss_llm(ce: float, aux: float, kd: float, mse: float,

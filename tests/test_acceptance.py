@@ -20,11 +20,9 @@ from conftest import int32_tile_product, make_dip_profile
 
 from dssalab import quant, spike, tensorio
 from dssalab.attention import (
-    causal_keep,
     full_attention,
     linear_attention_parallel,
     linear_attention_recurrent,
-    masked_attention,
     swa,
 )
 from dssalab.cli import main as cli_main
@@ -55,51 +53,30 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_attention_oracle_equivalences():
+    # attn-check's table: every mechanism's package path against its
+    # reference, sparse MoBA and the banded sliding window included
     tolerance = 1e-10
-    sizes, dims, trials = (1, 4, 8, 16, 64), (2, 4, 8), 100
+    argv = ["attn-check", "--sizes", "1,4,8,16,64", "--dims", "2,4,8", "--seed", "11001",
+            "--tolerance", str(tolerance)]
     start = time.perf_counter()
-    rng = np.random.default_rng(11001)
-    worst = {
-        "linear_parallel_vs_recurrent": 0.0,
-        "sse_single_partition_vs_linear_parallel": 0.0,
-        "moba_select_all_vs_full": 0.0,
-        "swa_full_window_vs_full": 0.0,
-    }
-    for n in sizes:
-        for d in dims:
-            sse_params = SSEParams(num_partitions=1, top_k=1, gate_weight=np.zeros((d, 1)))
-            moba_params = MobaParams(block_size=2, top_k=(n + 1) // 2 + 1)
-            for _ in range(trials):
-                q, k, v = (rng.standard_normal((n, d)) * 0.3 for _ in range(3))
-                lin_par = linear_attention_parallel(q, k, v)
-                lin_rec = linear_attention_recurrent(q, k, v)
-                worst["linear_parallel_vs_recurrent"] = max(
-                    worst["linear_parallel_vs_recurrent"],
-                    float(np.max(np.abs(lin_par - lin_rec))),
-                )
-                sse_out = sse_forward(q, q, k, v, sse_params).outputs
-                worst["sse_single_partition_vs_linear_parallel"] = max(
-                    worst["sse_single_partition_vs_linear_parallel"],
-                    float(np.max(np.abs(sse_out - lin_par))),
-                )
-                full = full_attention(q, k, v)
-                worst["moba_select_all_vs_full"] = max(
-                    worst["moba_select_all_vs_full"],
-                    float(np.max(np.abs(moba_forward(q, k, v, moba_params) - full))),
-                )
-                worst["swa_full_window_vs_full"] = max(
-                    worst["swa_full_window_vs_full"],
-                    float(np.max(np.abs(swa(q, k, v, window=n) - masked_attention(q, k, v, causal_keep(n))))),
-                )
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main([*argv, "--trials", "100"])
     elapsed = time.perf_counter() - start
-    ok = all(err <= tolerance for err in worst.values()) and elapsed < 60.0
+    worst = {p["name"]: p["max_abs_error"] for p in json.loads(buf.getvalue())["properties"]}
+    # the negative control: one dropped key in the window and sparse MoBA references
+    with contextlib.redirect_stdout(io.StringIO()):
+        fault_code = cli_main([*argv, "--trials", "1", "--inject-fault"])
+    ok = (code == 0 and fault_code == 1 and len(worst) == 6
+          and all(err <= tolerance for err in worst.values()) and elapsed < 60.0)
     report(
         1,
         ok,
-        "four oracle equivalences at 1e-10 over n in {1,4,8,16,64}, d in {2,4,8}, "
-        f"100 instances each; worst {max(worst.values()):.3e}, {elapsed:.1f}s",
+        f"attn-check's {len(worst)} oracle equivalences at 1e-10 over n in {{1,4,8,16,64}}, "
+        f"d in {{2,4,8}}, 100 instances each; worst {max(worst.values()):.3e}, {elapsed:.1f}s; "
+        f"injected fault exits {fault_code}",
     )
-    assert ok, worst
+    assert ok, (code, fault_code, worst)
 
 
 # ----------------------------------------------------------------- criterion 2
@@ -187,7 +164,7 @@ def test_criterion_03_spike_path_bit_exact():
         if not (np.array_equal(reference, oracle) and np.array_equal(got, oracle)):
             ok = False
         # counting identity: every potential event is either added or skipped
-        fired = int(train.planes.sum())
+        fired = int(np.abs(train.planes).sum())
         if op_report.add_events != fired * qw.shape[1]:
             ok = False
         if op_report.add_events + op_report.skipped_events != 7 * op_report.dense_mac_equivalent:

@@ -254,6 +254,15 @@ def test_loss_check_demo_and_fixtures(tmp_path):
     assert json.loads(out)["combined"] == 5.0
 
 
+def test_loss_check_fixture_at_subnormal_mse(tmp_path):
+    # kd / mse overflows float64 at mse = 1e-310; the ratio term is beta * |kd|
+    path = tmp_path / "tiny_mse.json"
+    path.write_text(json.dumps({"mode": "llm", "ce": 1, "aux": 0, "kd": 1, "mse": 1e-310}))
+    code, out = run_cli(["loss-check", "--fixture", str(path)])
+    assert code == 0
+    assert json.loads(out)["combined"] == 1.0 + 0.1 + 0.1
+
+
 def test_breakdown_json_shape(tmp_path):
     parts = {"ce": 1.0, "aux": 1.0, "kd": 1.0, "mse": 1.0}
     path = tmp_path / "llm.json"

@@ -193,6 +193,18 @@ def test_kd_clamps_underflowing_student_and_counts_tokens():
     assert res.value > 10.0
 
 
+def test_kd_logit_spread_past_float64_stays_finite():
+    # 1e308 - (-1e308) overflows float64: the teacher's -1e308 logit has
+    # probability 0 and contributes 0, the student's is clamped
+    spread = np.array([[1e308, -1e308, 0.0]])
+    res = kd_topk_kl(spread, np.zeros((1, 3)), top_k=3)
+    assert res.value == pytest.approx(np.log(3.0), rel=1e-15)
+    assert res.clamped_tokens == 0
+    res = kd_topk_kl(np.zeros((1, 3)), spread, top_k=3)
+    assert np.isfinite(res.value)
+    assert res.clamped_tokens == 1
+
+
 @given(st.data())
 def test_kd_equals_per_token_loop(data):
     # a few repeated logits make ties; gaps past -log(floor) = 27.6 clamp
@@ -303,6 +315,20 @@ def test_combined_llm_zero_mse_warns_and_drops_term():
     with pytest.warns(RuntimeWarning):
         res = combined_loss_llm(ce=1.0, aux=0.0, kd=3.0, mse=0.0, c=0.0, alpha=1.0, beta=0.5)
     assert res.combined == pytest.approx(1.0 + 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mse", [1e-310, 5e-324])
+def test_combined_llm_ratio_term_at_subnormal_mse(mse):
+    # kd / mse overflows float64, yet the term is beta * |kd|
+    res = combined_loss_llm(ce=1.0, aux=0.0, kd=-3.0, mse=mse, c=0.0, alpha=0.0, beta=0.5)
+    assert res.combined == 1.0 + 0.5 * 3.0
+    assert combined_loss_llm(ce=0.0, aux=0.0, kd=1.0, mse=mse).combined == 0.1 + 0.1
+
+
+def test_combined_llm_refuses_negative_mse():
+    for kd in (0.0, 1.0):
+        with pytest.raises(ValueError, match="mse is a squared distance, got -0.001"):
+            combined_loss_llm(ce=1.0, aux=0.0, kd=kd, mse=-1e-3)
 
 
 def test_combined_llm_rejects_non_finite_parts():

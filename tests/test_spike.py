@@ -39,10 +39,20 @@ def test_exhaustive_int8_roundtrip():
     train = spike_encode(qa)
     back = spike_decode(train)
     assert np.array_equal(back.codes, codes)
-    # plane content check against plain binary expansion
+    # plane content check against the signed binary expansion
     for j in range(NUM_PLANES):
-        want = (np.abs(codes.astype(np.int16)) >> j) & 1
+        want = np.sign(codes.astype(np.int16)) * ((np.abs(codes.astype(np.int16)) >> j) & 1)
         assert np.array_equal(train.planes[j].astype(np.int16), want)
+
+
+def test_encode_refuses_codes_outside_127():
+    # -128 has no 7-plane magnitude; a wider integer dtype can hold more
+    for code, dtype in ((-128, np.int8), (128, np.int16), (-200, np.int16)):
+        qa = QuantizedGroupActivation(
+            codes=np.array([[0, code]], dtype=dtype), scales=np.ones((1, 1)), group_size=2
+        )
+        with pytest.raises(ValueError, match=r"outside \[-127, 127\]"):
+            spike_encode(qa)
 
 
 def test_zero_gives_silent_planes():
@@ -53,8 +63,8 @@ def test_zero_gives_silent_planes():
 
 def test_minus_127_fires_every_plane():
     train = spike_encode(make_qa(np.array([[-127]]), group_size=1))
-    assert train.signs[0, 0] == -1
-    assert np.all(train.planes[:, 0, 0] == 1)
+    assert train.planes.dtype == np.int8
+    assert np.all(train.planes[:, 0, 0] == -1)
     assert firing_rate(train) == 1.0
 
 
@@ -63,7 +73,48 @@ def test_plane_weights_reconstruct_magnitude():
     codes = rng.integers(-127, 128, size=(5, 12)).astype(np.int8)
     train = spike_encode(make_qa(codes))
     weights = sum(train.planes[j].astype(np.int32) << j for j in range(NUM_PLANES))
-    assert np.array_equal(weights * train.signs, codes.astype(np.int32))
+    assert np.array_equal(weights, codes.astype(np.int32))
+
+
+@given(
+    rows=st.integers(0, 4),
+    cols=st.integers(1, 12),
+    group=st.integers(1, 12),
+    m=st.integers(1, 5),
+    data=st.data(),
+)
+def test_signed_planes_expand_each_code_property(rows, cols, group, m, data):
+    """Every plane entry is -1, 0 or 1, a fired entry carries its code's
+    sign, |planes| weighted by 2**plane is |code| (so, being 0 or 1, the
+    binary expansion), and the firing rate and event counts equal a
+    popcount oracle exactly."""
+    code = st.one_of(st.sampled_from((0, 127, -127)), st.integers(-127, 127))
+    flat = data.draw(st.lists(code, min_size=rows * cols, max_size=rows * cols))
+    codes = np.array(flat, dtype=np.int16).reshape(rows, cols)
+    train = spike_encode(make_qa(codes, group_size=group))
+    assert train.planes.dtype == np.int8 and train.planes.shape == (NUM_PLANES, rows, cols)
+    assert train.shape == (rows, cols)
+    planes = train.planes.astype(np.int64)
+    assert np.isin(planes, (-1, 0, 1)).all()
+    fired = planes != 0
+    assert np.array_equal(planes[fired], np.broadcast_to(np.sign(codes), planes.shape)[fired])
+    assert np.array_equal(np.tensordot(2 ** np.arange(NUM_PLANES), np.abs(planes), axes=1), np.abs(codes))
+
+    popcount = sum(bin(abs(c)).count("1") for c in flat)
+    slots = NUM_PLANES * rows * cols
+    assert firing_rate(train) == (popcount / slots if slots else 0.0)
+    groups = -(-cols // group)
+    qw = QuantizedBlockMatrix(
+        codes=np.ones((cols, m), dtype=np.int8),
+        scales=np.ones((groups, 1)),
+        clips=np.ones((groups, 1)),
+        mse=np.zeros((groups, 1)),
+        block_shape=(group, m),
+    )
+    _, report = spike_matmul(train, qw)
+    counts = (report.add_events, report.skipped_events, report.dense_mac_equivalent)
+    assert counts == (popcount * m, (NUM_PLANES * rows * cols - popcount) * m, rows * cols * m)
+    assert all(type(count) is int for count in counts)  # the CLI writes them as JSON
 
 
 def test_spike_matmul_bit_exact_vs_reference():
@@ -246,7 +297,7 @@ def test_counting_identity_is_exact():
     qw = quantize_weight_blocks(w, block_shape=(8, 8))
     train = spike_encode(qa)
     _, report = spike_matmul(train, qw)
-    fired = int(train.planes.sum(dtype=np.int64))
+    fired = int(np.abs(train.planes).sum(dtype=np.int64))
     assert report.add_events == fired * 7
     assert report.add_events + report.skipped_events == NUM_PLANES * report.dense_mac_equivalent
     # the rate identity, in exact integer form
