@@ -353,7 +353,10 @@ def cmd_loss_check(args) -> int:
         mode, parts = tensorio.read_json(args.fixture, _loss_fixture)
     else:
         mode, parts = _loss_fixture(_demo_loss_fixture(args.seed))
-    breakdown = LOSS_MODES[mode][0](**parts)
+    try:
+        breakdown = LOSS_MODES[mode][0](**parts)
+    except NumericsError as exc:  # finite parts whose weighted sum passes float64
+        raise NumericsError(f"fixture {args.fixture}: {exc}") from None
     _emit_json({"command": "loss-check", "mode": mode, **asdict(breakdown)}, args.out)
     return 0
 

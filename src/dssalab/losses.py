@@ -25,6 +25,9 @@ VLM_MSE_COEFF = 1.0
 DEFAULT_TOPK = 128
 
 STUDENT_PROB_FLOOR = 1e-12
+# teacher entries ranked per kd_topk_kl argsort: whole token rows, at least
+# one, so its negated copy and int64 order hold at most 8 MiB each
+KD_RANK_ENTRIES = 2**20
 
 
 @dataclass
@@ -92,7 +95,10 @@ def kd_topk_kl(teacher_logits, student_logits, top_k: int = DEFAULT_TOPK) -> KdL
     Per token, the K largest teacher logits (ties toward the lower vocab
     index) define the support; both distributions are renormalized over
     that same support before KL. Student probabilities below 1e-12 are
-    clamped and counted; a teacher probability of 0 contributes 0.
+    clamped and counted; a teacher probability of 0 contributes 0. The
+    teacher is ranked in blocks of whole token rows, at most KD_RANK_ENTRIES
+    entries each (one row at least), so the sort's temporaries hold at most
+    16 MiB at any token count.
     """
     teacher, student = as_f64(teacher_logits), as_f64(student_logits)
     if teacher.shape != student.shape or teacher.ndim != 2:
@@ -105,8 +111,12 @@ def kd_topk_kl(teacher_logits, student_logits, top_k: int = DEFAULT_TOPK) -> KdL
     if not 1 <= top_k <= vocab:
         raise ValueError(f"need 1 <= top_k <= vocab size, got {top_k}/{vocab}")
 
-    # stable sort = lowest index wins ties
-    support = np.argsort(-teacher, axis=1, kind="stable")[:, :top_k]
+    # stable sort = lowest index wins ties; ranked over blocks of token rows,
+    # as an argsort of the whole teacher holds two n x vocab temporaries
+    support = np.empty((n, top_k), dtype=np.intp)
+    step = max(1, KD_RANK_ENTRIES // vocab)
+    for t in range(0, n, step):
+        support[t : t + step] = np.argsort(-teacher[t : t + step], axis=1, kind="stable")[:, :top_k]
     log_p = _log_softmax(np.take_along_axis(teacher, support, axis=1))
     log_q = _log_softmax(np.take_along_axis(student, support, axis=1))
     log_floor = np.log(STUDENT_PROB_FLOOR)
@@ -152,6 +162,14 @@ def _ratio_mse_term(kd: float, mse: float, beta: float) -> float:
     return beta * abs(kd)
 
 
+def _finite_combined(objective: str, combined: float) -> float:
+    """combined, refused with NumericsError naming the objective when the
+    weighted sum of its finite parts has passed float64."""
+    if not np.isfinite(combined):
+        raise NumericsError(f"{objective}: the weighted sum of finite parts is {combined}, past float64")
+    return combined
+
+
 def combined_loss_llm(ce: float, aux: float, kd: float, mse: float,
                       c: float = LLM_AUX_COEFF, alpha: float = LLM_KD_COEFF,
                       beta: float = LLM_MSE_COEFF) -> LossBreakdown:
@@ -160,7 +178,9 @@ def combined_loss_llm(ce: float, aux: float, kd: float, mse: float,
     for name, val in (("ce", ce), ("aux", aux), ("kd", kd), ("mse", mse)):
         if not np.isfinite(val):
             raise NumericsError(f"{name} is not finite: {val}")
-    combined = ce + c * aux + alpha * kd + _ratio_mse_term(kd, mse, beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past float64 is refused below
+        combined = ce + c * aux + alpha * kd + _ratio_mse_term(kd, mse, beta)
+    combined = _finite_combined("combined_loss_llm", combined)
     return LossBreakdown(ce=ce, aux=aux, kd=kd, mse=mse, c=c, alpha=alpha, beta=beta, combined=combined)
 
 
@@ -170,5 +190,7 @@ def combined_loss_vlm(kd: float, mse: float, alpha: float = VLM_KD_COEFF,
     for name, val in (("kd", kd), ("mse", mse)):
         if not np.isfinite(val):
             raise NumericsError(f"{name} is not finite: {val}")
-    combined = alpha * kd + beta * mse
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past float64 is refused below
+        combined = alpha * kd + beta * mse
+    combined = _finite_combined("combined_loss_vlm", combined)
     return LossBreakdown(ce=0.0, aux=0.0, kd=kd, mse=mse, c=0.0, alpha=alpha, beta=beta, combined=combined)

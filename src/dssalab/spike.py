@@ -4,15 +4,17 @@ Each int8 activation code becomes 7 signed spike planes in one int8
 array: plane j holds bit j of |code| carrying the code's sign, so a fired
 bit is +1 or -1 and silence is 0 (|code| <= 127 so 7 planes cover it). A
 matmul then runs as event-driven shift-add: per plane, only firing elements
-contribute a signed add, and the plane's sum is weighted by 2**plane. Each
-plane product is a GEMM in the weight band's float type (float32 up to a
-group width of 1,040, see quant.int8_tiles), whose sums are integers of at
-most 127 times the group width, and the weighted sum over planes stays at
-most 127*127 times it, so both are exact and the result reproduces the
-int8 reference product bit for bit: the event path is a lossless
-re-encoding, not an approximation. The module also counts events (the
-nonzero spikes) to report how much of the dense multiply-accumulate work
-the sparsity skips.
+contribute a signed add, and the plane's sum is weighted by 2**plane. Per
+activation group the seven planes are cast once, stacked as one (7n, width)
+matrix, and each slice of at most COL_SLICE weight columns takes one GEMM
+with it in the weight band's float type (float32 up to a group width of
+1,040, see quant.int8_tiles), then one weighting product by 2**plane. The
+plane sums are integers of at most 127 times the group width, and every
+partial weighted sum stays at most 127*127 times it, so both are exact in
+any order and the result reproduces the int8 reference product bit for
+bit: the event path is a lossless re-encoding, not an approximation. The
+module also counts events (the nonzero spikes) to report how much of the
+dense multiply-accumulate work the sparsity skips.
 """
 
 from __future__ import annotations
@@ -25,6 +27,13 @@ from .quant import QuantizedBlockMatrix, QuantizedGroupActivation, int8_tiles
 
 NUM_PLANES = 7
 _PLANE_SHIFTS = np.arange(NUM_PLANES, dtype=np.int8)[:, None, None]  # plane j holds bit j
+_PLANE_WEIGHTS = 2.0 ** np.arange(NUM_PLANES)
+# weight columns per stacked-plane GEMM in spike_matmul, whose (7n, COL_SLICE)
+# product is its largest temporary. Picked by measurement of spike_matmul at
+# 64 x 1024 and 64 x 256 (groups of 128) over 128, 256, 512 and unsliced: 128
+# was slowest, the others within noise, and 256 holds the least of those
+# (unsliced adds 1.25 MiB at 64 x 1024)
+COL_SLICE = 256
 
 
 @dataclass
@@ -94,16 +103,26 @@ def firing_rate(trains) -> float:
 def spike_matmul(train: SpikeTrain, w: QuantizedBlockMatrix) -> tuple[np.ndarray, OpCountReport]:
     """Event-driven product of a spike train with block-quantized weights.
 
-    Per activation group, every signed {-1,0,1} plane's product with the
-    weight band, an exact GEMM in the band's float type, is weighted by
-    2**plane, so the group's sum equals the int8 product. The groups run
-    through the same int8_tiles loop as int8_matmul_reference, which makes
-    the whole result bit-identical to it.
+    Per activation group, the signed {-1,0,1} planes, stacked as one
+    (7n, width) matrix, take one GEMM with each slice of at most COL_SLICE
+    columns of the weight band, exact in the band's float type; one product
+    with 2**plane then weights the seven plane sums, so the group's sum
+    equals the int8 product. The groups run through the same int8_tiles loop
+    as int8_matmul_reference, which makes the whole result bit-identical to
+    it.
     """
+    n = train.shape[0]
+
     def tile_product(rows: slice, w_band: np.ndarray) -> np.ndarray:
-        acc = np.zeros((train.shape[0], w_band.shape[1]), dtype=w_band.dtype)
-        for j in range(NUM_PLANES):
-            acc += (train.planes[j][:, rows].astype(w_band.dtype) @ w_band) * 2.0**j
+        width, m = w_band.shape
+        stacked = train.planes[:, :, rows].astype(w_band.dtype).reshape(NUM_PLANES * n, width)
+        weights = _PLANE_WEIGHTS.astype(w_band.dtype)
+        acc = np.empty((n, m), dtype=w_band.dtype)
+        for c in range(0, m, COL_SLICE):
+            cols = min(COL_SLICE, m - c)
+            sums = stacked @ w_band[:, c : c + cols]  # rows j*n .. (j+1)*n: plane j
+            acc[:, c : c + cols] = (weights @ sums.reshape(NUM_PLANES, n * cols)).reshape(n, cols)
+            del sums  # else the next slice's GEMM runs while this one is held
         return acc
 
     out = int8_tiles(train, w, tile_product)

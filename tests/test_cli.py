@@ -263,6 +263,21 @@ def test_loss_check_fixture_at_subnormal_mse(tmp_path):
     assert json.loads(out)["combined"] == 1.0 + 0.1 + 0.1
 
 
+@pytest.mark.parametrize(
+    "mode, parts",
+    [("llm", {"ce": 1.7e308, "aux": 0, "kd": 1.7e308, "mse": 1}), ("vlm", {"kd": 1.7e308, "mse": 1.7e308})],
+)
+def test_loss_check_fixture_past_float64_exits_two_naming_objective_and_file(tmp_path, capsys, mode, parts):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"mode": mode, **parts}))
+    code, out = run_cli(["loss-check", "--fixture", str(path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"dssalab: error: fixture {path}: combined_loss_{mode}: the weighted sum of finite parts is inf, "
+        "past float64\n"
+    )
+
+
 def test_breakdown_json_shape(tmp_path):
     parts = {"ce": 1.0, "aux": 1.0, "kd": 1.0, "mse": 1.0}
     path = tmp_path / "llm.json"

@@ -7,11 +7,14 @@ bit for bit against the per-token float64 loop it replaced.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dssalab import losses
 from dssalab.losses import (
     DEFAULT_TOPK,
     LLM_AUX_COEFF,
@@ -220,6 +223,33 @@ def test_kd_equals_per_token_loop(data):
     assert (got.value, got.clamped_tokens) == kd_per_token(teacher, student, top_k)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 7])
+def test_kd_ranked_in_row_blocks_equals_per_token_loop(monkeypatch, rows):
+    # blocks of 1, 2 and 3 rows (the last partial) and one block of all 7;
+    # logits on a grid of tenths tie often, so the stable ranking shows
+    rng = np.random.default_rng(47)
+    teacher, student = (np.round(rng.normal(0.0, 1.0, (7, 24)), 1) for _ in range(2))
+    monkeypatch.setattr(losses, "KD_RANK_ENTRIES", rows * 24 + 5)
+    got = kd_topk_kl(teacher, student, top_k=9)
+    assert (got.value, got.clamped_tokens) == kd_per_token(teacher, student, 9)
+
+
+def test_kd_memory_stays_below_32_mib():
+    # an argsort of the whole teacher held two 125 MB temporaries here (250 MB)
+    rng = np.random.default_rng(48)
+    teacher = rng.standard_normal((512, 32_000))
+    np.round(teacher, 1, out=teacher)  # ties across the whole vocabulary
+    student = rng.standard_normal((512, 32_000))
+    tracemalloc.start()
+    try:
+        got = kd_topk_kl(teacher, student, top_k=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024 * 1024, peak
+    assert (got.value, got.clamped_tokens) == kd_per_token(teacher, student, 128)
+
+
 def test_kd_refuses_zero_tokens():
     with pytest.raises(ValueError, match="at least one token, got 0"):
         kd_topk_kl(np.zeros((0, 8)), np.zeros((0, 8)), top_k=2)
@@ -346,3 +376,30 @@ def test_combined_vlm():
     assert res.combined == pytest.approx(7.0, abs=1e-15)
     with pytest.raises(NumericsError):
         combined_loss_vlm(kd=np.inf, mse=0.0)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        dict(ce=1.7e308, aux=0.0, kd=1.7e308, mse=1.0),  # ce + alpha*kd + beta*|kd|
+        dict(ce=1.0, aux=10.0, kd=0.0, mse=1.0, c=1e308),  # c * aux alone
+        dict(ce=-1.7e308, aux=0.0, kd=1.7e308, mse=1.0, alpha=10.0),  # -1.7e308 + inf is inf
+        dict(ce=np.float64(1.7e308), aux=0.0, kd=np.float64(1.7e308), mse=1.0),  # no overflow warning
+    ],
+)
+def test_combined_llm_refuses_sum_past_float64(parts):
+    with pytest.raises(NumericsError, match="combined_loss_llm: the weighted sum of finite parts is inf"):
+        combined_loss_llm(**parts)
+
+
+@pytest.mark.parametrize(
+    "parts, value",
+    [
+        (dict(kd=1.7e308, mse=1.7e308), "inf"),
+        (dict(kd=-1.7e308, mse=1.7e308, alpha=2.0, beta=2.0), "nan"),  # -inf + inf
+        (dict(kd=np.float64(-1.7e308), mse=np.float64(1.7e308), alpha=2.0, beta=2.0), "nan"),
+    ],
+)
+def test_combined_vlm_refuses_sum_past_float64(parts, value):
+    with pytest.raises(NumericsError, match=f"combined_loss_vlm: the weighted sum of finite parts is {value}"):
+        combined_loss_vlm(**parts)

@@ -16,6 +16,7 @@ from dssalab.quant import (
     quantize_weight_blocks,
 )
 from dssalab.spike import (
+    COL_SLICE,
     NUM_PLANES,
     firing_rate,
     spike_decode,
@@ -156,6 +157,11 @@ def test_integer_paths_exact_at_the_edges():
         (5, 20, 13, 8, 8),  # a partial last group and a partial last block column
         (6, 130, 260, 64, 32),  # block width differs from the group size
         (0, 24, 10, 8, 8),  # zero token rows
+        # the spike product's column slices: one partial, one exact, one plus
+        # a single column, a partial second and five, with block columns of
+        # 100 off the slice edges and a partial last group
+        *((5, 40, COL_SLICE + dm, 16, 100) for dm in (1 - COL_SLICE, -1, 0, 1, 44, 3 * COL_SLICE + 1)),
+        (0, 24, 2 * COL_SLICE + 1, 8, 8),  # zero token rows over three slices
     ):
         qa = quantize_activation_groups(rng.standard_normal((n, d)), group_size=g)
         qw = quantize_weight_blocks(rng.standard_normal((d, m)), block_shape=(g, bc))
@@ -170,6 +176,10 @@ def test_integer_paths_exact_at_the_edges():
     for g in (1040, 1041):
         cases.append(all_127_tile(g))
         cases.append(unit_tile(np.full((1, g), -127), np.full((g, 1), 127)))
+    # a float64 band (1,041 wide) over three slices of 600 columns, +-127 codes
+    # with one sign per row and per column: every sum is 127*127*1,041 in magnitude
+    a_codes = np.repeat(rng.choice([-127, 127], (3, 1)), 1041, axis=1)
+    cases.append(unit_tile(a_codes, np.repeat(rng.choice([-127, 127], (1, 600)), 1041, axis=0)))
     for qa, qw in cases:
         oracle = int32_tile_product(qa, qw)
         assert oracle.shape == (qa.shape[0], qw.shape[1])
@@ -227,12 +237,16 @@ def test_integer_paths_match_int32_oracle_property(case):
 
 
 def test_integer_paths_memory_stays_below_4_mib():
-    # in float64 a weight band is 1 MiB and the output 0.5 MiB; the seven plane
-    # products stacked as one (7, 64, 1024) array would pass the bound
+    # the weight band is float32 at groups of 128 (0.5 MiB) and the output
+    # float64 (0.5 MiB). Spike's stacked planes and their product with one
+    # COL_SLICE of columns hold under 1 MiB more than the INT8 reference;
+    # the product with all 1,024 columns at once (1.75 MiB in float32) would
+    # pass that margin, though not 4 MiB
     rng = np.random.default_rng(46)
     qa = quantize_activation_groups(rng.standard_normal((64, 1024)), group_size=128)
     qw = quantize_weight_blocks(rng.standard_normal((1024, 1024)) / 32.0)
     train = spike_encode(qa)
+    peaks = {}
     for name, call in (
         ("int8_matmul_reference", lambda: int8_matmul_reference(qa, qw)),
         ("spike_matmul", lambda: spike_matmul(train, qw)),
@@ -240,10 +254,11 @@ def test_integer_paths_memory_stays_below_4_mib():
         tracemalloc.start()
         try:
             call()
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 1024 * 1024, (name, peak)
+        assert peaks[name] <= 4 * 1024 * 1024, (name, peaks[name])
+    assert peaks["spike_matmul"] <= peaks["int8_matmul_reference"] + 1024 * 1024, peaks
 
 
 def test_spike_matmul_small_hand_case():
