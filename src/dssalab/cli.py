@@ -3,13 +3,14 @@
 Subcommands:
 
 * attn-check: run each attention mechanism's package path against its
-  reference (another form, or masked_attention under a dense keep mask)
-  on seeded inputs; JSON report of each pair's worst error, exit 0 only
-  if every pair is within tolerance.
+  reference (another form, masked_attention under a dense keep mask, or
+  for gated SSE a per-token recurrence) on seeded inputs; JSON report of
+  each pair's worst error, exit 0 only if every pair is within tolerance.
 * quant-report: blockwise INT8 stats (chosen clips, per-block MSE) for a
   tensor file.
 * spike-report: spike expansion stats (firing rate, add/skip events) for
-  a tensor file.
+  a tensor file, and whether the spike product equals the INT8 reference
+  product bit for bit (exit 1 if not).
 * scaling-table: CSV of modeled dense-vs-hybrid cost and memory across
   sequence lengths.
 * plan-show: layer plan table with mechanism counts.
@@ -46,7 +47,7 @@ from .attention import (
 )
 from .moba import MobaParams, block_pool_keys, moba_forward, moba_select, moba_selections
 from .sse import SSEParams, sse_forward
-from .tensor_ops import NumericsError, ShapeError
+from .tensor_ops import NumericsError, ShapeError, softmax_rows
 
 SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 1e-10
@@ -116,12 +117,35 @@ def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------- attn-check
 
 
-def _masked(q, k, v, keep: np.ndarray, fault: bool) -> np.ndarray:
-    # the dense-mask reference; the fault drops the last row's first kept
-    # key, never its only one where it is injected (n >= 2)
+def _fault(keep: np.ndarray, fault: bool) -> np.ndarray:
+    # the one injected fault: the last row drops its first kept key (or
+    # selected partition), never its only one where it is injected (n >= 2)
     if fault:
         keep[-1, np.argmax(keep[-1])] = False
-    return masked_attention(q, k, v, keep)
+    return keep
+
+
+def _masked(q, k, v, keep: np.ndarray, fault: bool) -> np.ndarray:
+    """The dense-mask reference."""
+    return masked_attention(q, k, v, _fault(keep, fault))
+
+
+def _sse_gated_recurrent(x, q, k, v, params: SSEParams, fault: bool) -> np.ndarray:
+    """The per-token gated SSE recurrence: token t ranks the softmax gates of
+    x_t (stable argsort, ties to the lower partition), adds gate-weighted
+    outer(k_t, v_t) to each of its top_k partitions and reads them back
+    gate-weighted. Identity feature map."""
+    gates = softmax_rows(x @ params.gate_weight)
+    selected = np.zeros(gates.shape, dtype=bool)
+    np.put_along_axis(selected, np.argsort(-gates, axis=1, kind="stable")[:, : params.top_k], True, axis=1)
+    _fault(selected, fault)
+    state = np.zeros((params.num_partitions, q.shape[1], v.shape[1]))
+    out = np.zeros((q.shape[0], v.shape[1]))
+    for t in range(q.shape[0]):
+        for i in np.flatnonzero(selected[t]):
+            state[i] += gates[t, i] * np.outer(k[t], v[t])
+            out[t] += gates[t, i] * (q[t] @ state[i])
+    return out
 
 
 def _moba_keep(q, k, params: MobaParams) -> np.ndarray:
@@ -137,6 +161,9 @@ def cmd_attn_check(args) -> int:
         # n >= 2, where that row keeps another
         raise ValueError("--inject-fault needs a length of at least 2 in --sizes")
     rng = np.random.default_rng(args.seed)
+    # the SSE gate weights draw from their own stream, so q, k and v are
+    # the same draws with or without the gated row
+    gate_rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
     errors: dict[str, float] = {}
     fault_pending = args.inject_fault
     for n in args.sizes:
@@ -148,6 +175,7 @@ def cmd_attn_check(args) -> int:
                     fault_pending = False
                 lin_par = linear_attention_parallel(q, k, v)
                 sse_params = SSEParams(num_partitions=1, top_k=1, gate_weight=np.zeros((d, 1)))
+                gated = SSEParams(num_partitions=4, top_k=2, gate_weight=gate_rng.standard_normal((d, 4)))
                 select_all = MobaParams(block_size=2, top_k=(n + 1) // 2 + 1)
                 # about 8 blocks and 4 slots: past n = 4, some rows read
                 # their selection rather than attending fully
@@ -159,6 +187,9 @@ def cmd_attn_check(args) -> int:
                     "linear_parallel_vs_recurrent": (lin_par, linear_attention_recurrent(q, k, v)),
                     "sse_single_partition_vs_linear_parallel": (
                         sse_forward(q, q, k, v, sse_params).outputs, lin_par),
+                    "sse_gated_vs_recurrent": (
+                        sse_forward(q, q, k, v, gated).outputs,
+                        _sse_gated_recurrent(q, q, k, v, gated, fault)),
                     "moba_select_all_vs_full": (moba_forward(q, k, v, select_all), full_attention(q, k, v)),
                     "moba_sparse_vs_masked": (
                         moba_forward(q, k, v, sparse), _masked(q, k, v, _moba_keep(q, k, sparse), fault)),
@@ -225,21 +256,24 @@ def cmd_spike_report(args) -> int:
         w = np.ones((x.shape[1], 1))  # notional single output column
     qw = quant.quantize_weight_blocks(w, block_shape=(args.group_size, args.group_size))
     try:
-        _, report = spike.spike_matmul(train, qw)
+        product, report = spike.spike_matmul(train, qw)
+        reference = quant.int8_matmul_reference(qa, qw)
     except NumericsError as exc:  # finite inputs whose product overflows float64
         through = f" through weight file {args.weight}" if args.weight else ""
         raise NumericsError(f"tensor file {args.input}{through}: {exc}") from None
+    matches = bool(np.array_equal(product, reference))
     _emit_json(
         {
             "command": "spike-report",
             "shape": list(x.shape),
             "group_size": args.group_size,
             "firing_rate": spike.firing_rate(train),
+            "matches_int8_reference": matches,
             **asdict(report),
         },
         args.out,
     )
-    return 0
+    return 0 if matches else 1
 
 
 # ------------------------------------------------------------- scaling-table
@@ -404,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=positive_int, default=5)
     p.add_argument("--tolerance", type=finite_non_negative_float, default=DEFAULT_TOLERANCE)
     p.add_argument("--inject-fault", action="store_true",
-                   help="drop one kept key in the window and sparse MoBA suites (negative control)")
+                   help="drop one kept key in the window and sparse MoBA suites and one selected "
+                        "partition in the gated SSE suite (negative control)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_attn_check)
 

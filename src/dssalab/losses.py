@@ -97,14 +97,13 @@ def kd_topk_kl(teacher_logits, student_logits, top_k: int = DEFAULT_TOPK) -> KdL
     that same support before KL. Student probabilities below 1e-12 are
     clamped and counted; a teacher probability of 0 contributes 0. The
     teacher is ranked in blocks of whole token rows, at most KD_RANK_ENTRIES
-    entries each (one row at least), so the sort's temporaries hold at most
-    16 MiB at any token count.
+    entries each (one row at least), and each block of both logit arrays is
+    checked finite there, so the sort's temporaries hold at most 16 MiB and
+    the checks' masks 1 MiB at any token count.
     """
     teacher, student = as_f64(teacher_logits), as_f64(student_logits)
     if teacher.shape != student.shape or teacher.ndim != 2:
         raise ShapeError(f"logit shapes disagree: {teacher.shape} vs {student.shape}")
-    ensure_finite(teacher, "kd_topk_kl teacher")
-    ensure_finite(student, "kd_topk_kl student")
     n, vocab = teacher.shape
     if n == 0:
         raise ValueError("kd_topk_kl needs at least one token, got 0")
@@ -116,7 +115,9 @@ def kd_topk_kl(teacher_logits, student_logits, top_k: int = DEFAULT_TOPK) -> KdL
     support = np.empty((n, top_k), dtype=np.intp)
     step = max(1, KD_RANK_ENTRIES // vocab)
     for t in range(0, n, step):
-        support[t : t + step] = np.argsort(-teacher[t : t + step], axis=1, kind="stable")[:, :top_k]
+        block = ensure_finite(teacher[t : t + step], "kd_topk_kl teacher")
+        ensure_finite(student[t : t + step], "kd_topk_kl student")
+        support[t : t + step] = np.argsort(-block, axis=1, kind="stable")[:, :top_k]
     log_p = _log_softmax(np.take_along_axis(teacher, support, axis=1))
     log_q = _log_softmax(np.take_along_axis(student, support, axis=1))
     log_floor = np.log(STUDENT_PROB_FLOOR)

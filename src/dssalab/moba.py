@@ -82,7 +82,8 @@ def moba_select(q, pooled, params: MobaParams, start: int = 0) -> np.ndarray:
     block j are scored against pooled[:j + 1] alone, by raw q.pooled
     scores. The query's own block always occupies one slot; the remaining
     top_k - 1 slots go to the best-scoring other visible blocks, ties
-    toward the lower block index.
+    toward the lower block index. A score that overflows to an infinity or
+    NaN, which finite q and keys can give, raises NumericsError.
     """
     q = as_f64(q)
     b = params.block_size
@@ -91,7 +92,7 @@ def moba_select(q, pooled, params: MobaParams, start: int = 0) -> np.ndarray:
     while lo < q.shape[0]:  # rows lo..hi-1 lie in query block j
         j = (start + lo) // b
         hi = min((j + 1) * b - start, q.shape[0])
-        scores = q[lo:hi] @ pooled[: j + 1].T
+        scores = ensure_finite(q[lo:hi] @ pooled[: j + 1].T, "moba_select")  # top_k_mask takes no -inf
         scores[:, j] = np.inf  # own block ranks first
         selected[lo:hi, : j + 1] = top_k_mask(scores, params.top_k)
         lo = hi

@@ -3,9 +3,7 @@
 Linear attention whose state is split into N partitions with shared
 parameters. At each step a softmax gate over the token representation picks
 the top-k partitions; only those receive the rank-1 state update, and the
-output reads back the gate-weighted selected partitions. An optional
-always-selected partition is appended after the top-k without evicting a
-gated winner, so the per-step update count may be k+1.
+output reads back the gate-weighted selected partitions.
 
 The scan runs in chunkwise-parallel form (Yang et al., arXiv 2312.06635):
 over chunks of CHUNK gate-expanded rows, each chunk's output is its causal
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor_ops import (
-    ShapeError, as_f64, ensure_finite, l2_normalize_rows, silu, softmax_rows, split_heads, top_k_mask,
+    ShapeError, as_f64, ensure_finite, silu, softmax_rows, split_heads, top_k_mask,
 )
 
 FEATURE_MAPS = ("identity", "silu")
@@ -47,9 +45,7 @@ class SSEParams:
     num_partitions: int
     top_k: int
     gate_weight: np.ndarray
-    always_selected: int | None = None
     feature_map: str = "identity"
-    qk_l2_norm: bool = False
 
     def __post_init__(self):
         w = as_f64(self.gate_weight)
@@ -58,8 +54,6 @@ class SSEParams:
             raise ValueError(f"need 1 <= top_k <= num_partitions, got {self.top_k}/{self.num_partitions}")
         if w.ndim != 2 or w.shape[1] != self.num_partitions:
             raise ShapeError(f"gate_weight shape {w.shape} != (d_model, {self.num_partitions})")
-        if self.always_selected is not None and not 0 <= self.always_selected < self.num_partitions:
-            raise ValueError(f"always_selected {self.always_selected} out of range")
         if self.feature_map not in FEATURE_MAPS:
             raise ValueError(f"unknown feature_map {self.feature_map!r}")
 
@@ -75,18 +69,14 @@ class SSEResult:
 def sse_gate(x, params: SSEParams) -> tuple[np.ndarray, np.ndarray]:
     """Softmax gates over partitions and the selection, for every token row.
 
-    Returns gates (n, N) and a bool selection (n, N). Ties break toward the
-    lowest partition index. The always-selected partition, if configured,
-    is added on top of the top-k.
+    Returns gates (n, N) and a bool selection (n, N) of the top_k largest
+    gates in each row. Ties break toward the lowest partition index.
     """
     x = as_f64(x)
     if x.ndim != 2 or x.shape[1] != params.gate_weight.shape[0]:
         raise ShapeError(f"token rows {x.shape} do not match gate rows {params.gate_weight.shape[0]}")
     gates = softmax_rows(x @ params.gate_weight)
-    selected = top_k_mask(gates, params.top_k)
-    if params.always_selected is not None:
-        selected[:, params.always_selected] = True
-    return gates, selected
+    return gates, top_k_mask(gates, params.top_k)
 
 
 def _chunked_scan(q, k, v) -> np.ndarray:
@@ -109,8 +99,8 @@ def _chunked_scan(q, k, v) -> np.ndarray:
 def sse_forward(x, q, k, v, params: SSEParams, *, n_heads: int = 1) -> SSEResult:
     """Deterministic causal scan over t = 1..n, in chunks of CHUNK rows.
 
-    x drives the gate; q and k pass through the feature map and, when
-    enabled, row-wise L2 normalization. With a_t the gates of the selected
+    x drives the gate; q and k pass through the feature map (identity or
+    silu, elementwise). With a_t the gates of the top_k selected
     partitions (0 elsewhere), the scan is linear attention on the
     gate-expanded rows a_t (x) q_t and a_t (x) k_t: block i of the state
     holds partition i and only receives a_{s,i}-weighted updates. Row t
@@ -119,7 +109,7 @@ def sse_forward(x, q, k, v, params: SSEParams, *, n_heads: int = 1) -> SSEResult
 
     q/k/v hold n_heads heads side by side, (n, h * d), and the outputs are
     (n, h * d_v) in the same layout. The heads share one gate, routed once;
-    each head keeps its own state and L2-normalizes its own rows.
+    each head keeps its own state.
     """
     x, q, k, v = as_f64(x), as_f64(q), as_f64(k), as_f64(v)
     if (
@@ -130,8 +120,6 @@ def sse_forward(x, q, k, v, params: SSEParams, *, n_heads: int = 1) -> SSEResult
     q, k, v = split_heads(n_heads, q, k, v)
     if params.feature_map == "silu":
         q, k = silu(q), silu(k)
-    if params.qk_l2_norm:
-        q, k = l2_normalize_rows(q), l2_normalize_rows(k)
 
     gates, selected = sse_gate(x, params)
     a = np.where(selected, gates, 0.0)[:, :, None]

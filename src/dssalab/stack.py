@@ -80,7 +80,6 @@ class StackConfig:
     moba_top_k: int = 12
     swa_window: int = 128
     merge_dropout: float = 0.5
-    scale_qk: bool = True
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -91,6 +90,12 @@ class StackConfig:
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
+
+    @property
+    def scale_qk(self) -> bool:
+        """Always True: _qkv divides every q by sqrt(d_head). Not a field;
+        perfbench/oracle.py reads it."""
+        return True
 
 
 @dataclass
@@ -163,12 +168,10 @@ def sse_swa_block(sse_out, swa_out, norm_sse, norm_swa, gate: float = 1.0) -> np
 
 def _qkv(normed: np.ndarray, lw: dict, prefix: str, config: StackConfig) -> tuple[np.ndarray, ...]:
     """The `prefix` q/k/v projections, every head side by side in (n, d_model)
-    columns, the layout the mechanisms' n_heads argument reads; q is scaled
-    by 1/sqrt(d_head) when configured."""
+    columns, the layout the mechanisms' n_heads argument reads; q is divided
+    by sqrt(d_head)."""
     q, k, v = (normed @ lw[f"{prefix}_w{name}"] for name in "qkv")
-    if config.scale_qk:
-        q = q / np.sqrt(config.d_head)
-    return q, k, v
+    return q / np.sqrt(config.d_head), k, v
 
 
 @dataclass

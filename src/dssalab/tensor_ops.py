@@ -6,8 +6,6 @@ that no NaN/Inf leaves it; exp_rows, under every softmax, by its row maxima.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 NEG_INF = float("-inf")
@@ -67,20 +65,17 @@ def softmax_rows(x) -> np.ndarray:
 
 def top_k_mask(x, k: int) -> np.ndarray:
     """Bool mask of the k largest entries in each row of a 2-D x; ties go to
-    the lower index. x holds no NaN.
+    the lower index. Contract, not checked: x holds no NaN and no -inf
+    (+inf is fine).
 
-    k rounds of argmax, each taking a row's first largest untaken entry. A
-    taken entry is set to -inf, so a round lands on one only when every
-    untaken entry of the row is -inf too; it then takes the first untaken.
+    k rounds of argmax, each taking a row's first largest untaken entry: a
+    taken entry is set to -inf, below every untaken one.
     """
     x = np.array(x, dtype=np.float64)  # a copy: taken entries are overwritten
     mask = np.zeros(x.shape, dtype=bool)
     rows = np.arange(x.shape[0])
     for _ in range(min(k, x.shape[1])):
         pick = np.argmax(x, axis=1)
-        taken = mask[rows, pick]
-        if taken.any():
-            pick = np.where(taken, np.argmin(mask, axis=1), pick)
         mask[rows, pick] = True
         x[rows, pick] = NEG_INF
     return mask
@@ -106,14 +101,3 @@ def silu(x) -> np.ndarray:
     """x * sigmoid(x)."""
     x = as_f64(x)
     return ensure_finite(x * sigmoid(x), "silu")
-
-
-def l2_normalize_rows(x) -> np.ndarray:
-    """Scale each row to unit L2 norm. Zero rows stay zero and are flagged."""
-    x = as_f64(x)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    zero = norms == 0.0
-    if np.any(zero):
-        warnings.warn("zero row(s) in l2_normalize_rows left as zeros", RuntimeWarning)
-        norms = np.where(zero, 1.0, norms)
-    return ensure_finite(x / norms, "l2_normalize_rows")

@@ -12,7 +12,7 @@ import json
 import math
 import struct
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from conftest import make_dip_profile
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dssalab import attention, cli, quant, tensorio
+from dssalab import attention, cli, quant, spike, sse, tensorio
 from dssalab.cli import main, parse_length
 from dssalab.losses import combined_loss_llm
 from dssalab.stack import LAYER_KINDS, LayerPlan, default_plan
@@ -61,6 +61,7 @@ def test_attn_check_passes_and_reports():
     assert names == {
         "linear_parallel_vs_recurrent",
         "sse_single_partition_vs_linear_parallel",
+        "sse_gated_vs_recurrent",
         "moba_select_all_vs_full",
         "moba_sparse_vs_masked",
         "swa_full_window_vs_full",
@@ -80,9 +81,26 @@ def test_attn_check_fault_injection_fails():
     assert by_name["swa_full_window_vs_full"]["pass"] is False
     assert by_name["moba_sparse_vs_masked"]["pass"] is False
     assert by_name["swa_vs_masked"]["pass"] is False
-    # the fault only touches the window and sparse MoBA suites
+    assert by_name["sse_gated_vs_recurrent"]["pass"] is False
+    # the fault only touches the window, sparse MoBA and gated SSE suites
     assert by_name["linear_parallel_vs_recurrent"]["pass"] is True
     assert by_name["moba_select_all_vs_full"]["pass"] is True
+
+
+def test_attn_check_sees_the_sse_gates(monkeypatch):
+    # a scan fed sqrt(gates) equals the reference at one partition, where
+    # every gate is 1, so only the gated row sees it
+    gate = sse.sse_gate
+
+    def sqrt_gates(x, params):
+        gates, selected = gate(x, params)
+        return np.sqrt(gates), selected
+
+    monkeypatch.setattr(sse, "sse_gate", sqrt_gates)
+    code, out = run_cli(["attn-check", "--sizes", "4,63,65"])
+    assert code == 1
+    failing = [p["name"] for p in json.loads(out)["properties"] if not p["pass"]]
+    assert failing == ["sse_gated_vs_recurrent"]
 
 
 def test_attn_check_fails_on_a_window_one_key_too_wide(monkeypatch):
@@ -127,6 +145,23 @@ def test_spike_report_counting_identity(tensor_file):
     blob = json.loads(out)
     assert blob["add_events"] + blob["skipped_events"] == 7 * blob["dense_mac_equivalent"]
     assert 0.0 <= blob["firing_rate"] <= 1.0
+    assert blob["matches_int8_reference"] is True
+
+
+def test_spike_report_fails_on_a_product_off_the_int8_reference(monkeypatch, tensor_file):
+    # a product that drops plane 6 (each group's largest code, 127, fires
+    # it) with the event counts of the whole train
+    spike_matmul = spike.spike_matmul
+
+    def without_plane_6(train, w):
+        planes = train.planes.copy()
+        planes[6] = 0
+        return spike_matmul(replace(train, planes=planes), w)[0], spike_matmul(train, w)[1]
+
+    monkeypatch.setattr(spike, "spike_matmul", without_plane_6)
+    code, out = run_cli(["spike-report", "--input", tensor_file, "--group-size", "8"])
+    assert code == 1
+    assert json.loads(out)["matches_int8_reference"] is False
 
 
 def test_spike_report_wide_row(tmp_path):

@@ -54,14 +54,12 @@ def test_packed_moba_equals_single_head_calls(case, h, d, d_v, seed):
 
 
 @given(n=chunk_edge_lengths, h=heads, d=widths, d_v=widths, seed=seeds,
-       options=st.fixed_dictionaries({"always_selected": st.none() | st.integers(0, 3),
-                                      "feature_map": st.sampled_from(("identity", "silu")),
-                                      "qk_l2_norm": st.booleans()}))
-def test_packed_sse_equals_single_head_calls(n, h, d, d_v, seed, options):
+       feature_map=st.sampled_from(("identity", "silu")))
+def test_packed_sse_equals_single_head_calls(n, h, d, d_v, seed, feature_map):
     q, k, v = head_inputs(seed, n, h, d, d_v)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, 5))
-    p = SSEParams(num_partitions=4, top_k=2, gate_weight=rng.standard_normal((5, 4)), **options)
+    p = SSEParams(num_partitions=4, top_k=2, gate_weight=rng.standard_normal((5, 4)), feature_map=feature_map)
     got = sse_forward(x, q, k, v, p, n_heads=h)
     singles = single_heads(lambda *t: sse_forward(x, *t, p), h, q, k, v)
     assert np.array_equal(got.outputs, np.concatenate([r.outputs for r in singles], axis=1))

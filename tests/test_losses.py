@@ -250,6 +250,20 @@ def test_kd_memory_stays_below_32_mib():
     assert (got.value, got.clamped_tokens) == kd_per_token(teacher, student, 128)
 
 
+def test_kd_finiteness_checks_stay_below_20_mib():
+    # checked whole, each logit array built a 31.25 MiB n x vocab bool mask
+    # here, past the blocked ranking's 16 MiB
+    rng = np.random.default_rng(49)
+    teacher, student = (rng.standard_normal((1024, 32_000)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        kd_topk_kl(teacher, student, top_k=128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 1024 * 1024, peak
+
+
 def test_kd_refuses_zero_tokens():
     with pytest.raises(ValueError, match="at least one token, got 0"):
         kd_topk_kl(np.zeros((0, 8)), np.zeros((0, 8)), top_k=2)

@@ -200,6 +200,18 @@ def test_select_runs_no_step_for_zero_rows(monkeypatch):
         assert moba_select(np.ones((0, 2)), pooled, MobaParams(block_size=4, top_k=2), start).shape == (0, 3)
 
 
+def test_select_refuses_scores_that_overflow():
+    # finite q and keys whose q.pooled overflows to -inf at block 1: ranked,
+    # the three rounds would take block 2, block 0, then block 0 again, so
+    # top_k_mask takes no -inf and the step refuses it
+    q = np.full((1, 1), 1e200)
+    pooled = np.array([[1.0], [-1e200], [1.0]])
+    with np.errstate(over="ignore"):
+        assert np.isneginf(q @ pooled.T).any()
+        with pytest.raises(NumericsError, match="moba_select"):
+            moba_select(q, pooled, MobaParams(block_size=1, top_k=3), start=2)
+
+
 def test_select_tie_break_lowest_block_index():
     # identical pooled rows give identical scores everywhere
     pooled = np.ones((4, 2))

@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 from dssalab.attention import linear_attention_recurrent
 from dssalab.sse import CHUNK, SSEParams, sse_forward, sse_gate
-from dssalab.tensor_ops import NumericsError, ShapeError, l2_normalize_rows, silu, softmax_rows
+from dssalab.tensor_ops import NumericsError, ShapeError, silu, softmax_rows
 
 # lengths around the chunk boundaries of the scan
 CHUNK_LENGTHS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
 
 # the option sets the scan is checked under against manual_scan
-OPTION_SETS = (
-    {}, {"always_selected": 1}, {"feature_map": "silu"}, {"qk_l2_norm": True},
-    {"always_selected": 3, "feature_map": "silu", "qk_l2_norm": True},
-)
+OPTION_SETS = ({}, {"feature_map": "silu"})
 
 
 def make_params(rng, d, num_partitions=4, top_k=2, **kw):
@@ -53,22 +50,6 @@ def test_gate_tie_break_takes_lowest_index():
     p = SSEParams(num_partitions=4, top_k=2, gate_weight=np.zeros((3, 4)))
     _, selected = sse_gate(np.ones((2, 3)), p)
     assert np.array_equal(selected, [[True, True, False, False]] * 2)
-
-
-def test_always_selected_is_appended_without_evicting():
-    rng = np.random.default_rng(7)
-    base = make_params(rng, 5, num_partitions=6, top_k=2)
-    x = rng.standard_normal((40, 5))
-    _, plain = sse_gate(x, base)
-    for pinned_idx in range(6):
-        pinned = SSEParams(
-            num_partitions=6, top_k=2, gate_weight=base.gate_weight, always_selected=pinned_idx
-        )
-        _, got = sse_gate(x, pinned)
-        want = plain.copy()
-        want[:, pinned_idx] = True  # added on top, no winner evicted
-        assert np.array_equal(got, want)
-        assert np.all(got.sum(axis=1) <= 3)  # at most top_k + 1
 
 
 def test_forward_never_selected_partition_leaves_output_unchanged():
@@ -118,15 +99,13 @@ def manual_scan(x, q, k, v, p):
     # per-token scan over separate partition states: outputs, selections, freqs
     if p.feature_map == "silu":
         q, k = silu(q), silu(k)
-    if p.qk_l2_norm:
-        q, k = l2_normalize_rows(q), l2_normalize_rows(k)
     n, num = q.shape[0], p.num_partitions
     states = np.zeros((num, q.shape[1], v.shape[1]))
     freq = np.zeros(num)
     outputs, selections, freqs = np.zeros((n, v.shape[1])), [], np.zeros((n, num))
     for t in range(n):
         gates = softmax_rows(x[t] @ p.gate_weight)
-        selected = sorted(set(topk_oracle(gates, p.top_k)) | ({p.always_selected} - {None}))
+        selected = topk_oracle(gates, p.top_k)
         for i in selected:
             states[i] += gates[i] * np.outer(k[t], v[t])
             freq[i] += 1
@@ -178,19 +157,6 @@ def test_running_freq_uses_after_update_convention():
     # after step t, partition 0 was selected t+1 times out of t+1
     assert np.array_equal(got.freqs[:, 0], [1.0, 1.0, 1.0])
     assert np.array_equal(got.freqs[:, 1], [0.0, 0.0, 0.0])
-
-
-def test_feature_map_silu_then_l2_order():
-    rng = np.random.default_rng(14)
-    n, d = 6, 4
-    x, q, k, v = (rng.standard_normal((n, d)) for _ in range(4))
-    p = make_params(np.random.default_rng(50), d, feature_map="silu", qk_l2_norm=True)
-    got = sse_forward(x, q, k, v, p)
-    q2 = l2_normalize_rows(silu(q))
-    k2 = l2_normalize_rows(silu(k))
-    p_id = SSEParams(num_partitions=4, top_k=2, gate_weight=p.gate_weight)
-    want = sse_forward(x, q2, k2, v, p_id)
-    assert np.array_equal(got.outputs, want.outputs)
 
 
 def test_forward_causality_mutation():
@@ -253,7 +219,5 @@ def test_forward_memory_stays_below_quarter_n_squared():
 def test_params_validation():
     with pytest.raises(ValueError):
         SSEParams(num_partitions=2, top_k=3, gate_weight=np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        SSEParams(num_partitions=2, top_k=1, gate_weight=np.zeros((3, 2)), always_selected=5)
     with pytest.raises(ValueError):
         SSEParams(num_partitions=2, top_k=1, gate_weight=np.zeros((3, 2)), feature_map="relu")

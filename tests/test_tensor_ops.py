@@ -12,7 +12,6 @@ from dssalab.tensor_ops import (
     NEG_INF,
     NumericsError,
     exp_rows,
-    l2_normalize_rows,
     rms_norm,
     sigmoid,
     silu,
@@ -148,24 +147,9 @@ def test_sigmoid_silu_values():
     assert np.allclose(silu(r), r * sigmoid(r), atol=1e-15)
 
 
-def test_l2_normalize_rows():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((4, 5))
-    got = l2_normalize_rows(x)
-    assert np.allclose(np.linalg.norm(got, axis=1), 1.0, atol=1e-12)
-
-
-def test_l2_normalize_zero_row_warns_and_stays_zero():
-    x = np.zeros((2, 3))
-    x[0, 0] = 1.0
-    with pytest.warns(RuntimeWarning):
-        got = l2_normalize_rows(x)
-    assert np.array_equal(got[1], np.zeros(3))
-    assert np.allclose(got[0], [1.0, 0.0, 0.0])
-
-
-# few distinct values, so rows hold ties; -inf rows make argmax land on taken entries
-_gate_values = st.sampled_from([NEG_INF, -1.0, 0.0, 0.5, 1.0, np.inf]) | st.floats(-1e3, 1e3)
+# few distinct values, so rows hold ties; +inf as moba_select's own block.
+# top_k_mask's contract rules out NaN and -inf, so none is drawn
+_gate_values = st.sampled_from([-1.0, 0.0, 0.5, 1.0, np.inf]) | st.floats(-1e3, 1e3)
 
 
 @given(
