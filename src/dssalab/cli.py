@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -85,13 +85,6 @@ def finite_non_negative_float(text: str) -> float:
     return value
 
 
-def positive_int_list(text: str) -> list[int]:
-    values = [positive_int(part) for part in text.split(",") if part]
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
-    return values
-
-
 def parse_length(text: str) -> int:
     """Sequence length with binary suffixes: 128k = 128*1024, 1M = 1024^2."""
     text = text.strip()
@@ -102,12 +95,17 @@ def parse_length(text: str) -> int:
     return int(text)
 
 
-def _length_list(text: str) -> list[int]:
-    """argparse type for --lengths: no length, or one below 1, is exit 2."""
-    values = [parse_length(part) for part in text.split(",") if part]
-    if not values or min(values) < 1:
-        raise argparse.ArgumentTypeError(f"expected comma-separated positive lengths, got {text!r}")
-    return values
+def positive_list(parse):
+    """argparse type for a comma-separated list of values read by `parse`:
+    no value, or one below 1, is a usage error (exit 2)."""
+
+    def comma_list(text: str) -> list[int]:
+        values = [parse(part) for part in text.split(",") if part]
+        if not values or min(values) < 1:
+            raise argparse.ArgumentTypeError(f"expected comma-separated positive values, got {text!r}")
+        return values
+
+    return comma_list
 
 
 def _max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -220,8 +218,8 @@ def cmd_quant_report(args) -> int:
     grid = tuple(float(part) for part in args.grid.split(",") if part)
     try:
         qw = quant.quantize_weight_blocks(w, grid=grid, block_shape=(args.block_size, args.block_size))
-    except NumericsError as exc:  # finite values too large to quantize
-        raise NumericsError(f"tensor file {args.input}: {exc}") from None
+    except ValueError as exc:  # no elements, or finite values too large to quantize
+        raise type(exc)(f"tensor file {args.input}: {exc}") from None
     if args.save:
         quant.save_block_matrix(args.save, qw)
     _emit_json(
@@ -254,13 +252,13 @@ def cmd_spike_report(args) -> int:
         w = tensorio.load_tensor(args.weight)
     else:
         w = np.ones((x.shape[1], 1))  # notional single output column
-    qw = quant.quantize_weight_blocks(w, block_shape=(args.group_size, args.group_size))
     try:
+        qw = quant.quantize_weight_blocks(w, block_shape=(args.group_size, args.group_size))
         product, report = spike.spike_matmul(train, qw)
         reference = quant.int8_matmul_reference(qa, qw)
-    except NumericsError as exc:  # finite inputs whose product overflows float64
+    except ValueError as exc:  # a weight of the wrong shape, or a product past float64
         through = f" through weight file {args.weight}" if args.weight else ""
-        raise NumericsError(f"tensor file {args.input}{through}: {exc}") from None
+        raise type(exc)(f"tensor file {args.input}{through}: {exc}") from None
     matches = bool(np.array_equal(product, reference))
     _emit_json(
         {
@@ -295,12 +293,10 @@ def cmd_scaling_table(args) -> int:
         moba_top_k=args.top_k,
     )
     rows = costmodel.scaling_rows(args.lengths, params, plan=plan, schedule=args.schedule)
-    lines = ["n,fa_cost,dssa_cost,ratio,fa_kv_bytes,dssa_kv_bytes,moba_activation_ratio"]
+    lines = [",".join(f.name for f in fields(costmodel.ScalingRow))]
     for r in rows:
-        lines.append(
-            f"{r.n},{r.fa_cost:.10g},{r.dssa_cost:.10g},{r.ratio:.10g},"
-            f"{r.fa_kv_bytes:.10g},{r.dssa_kv_bytes:.10g},{r.moba_activation_ratio:.10g}"
-        )
+        n, *values = astuple(r)
+        lines.append(",".join([str(n), *(f"{v:.10g}" for v in values)]))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -405,11 +401,16 @@ def cmd_moba_trace(args) -> int:
     if args.queries:
         q = tensorio.load_tensor(args.queries)
         k = tensorio.load_tensor(args.keys)
+        source = f"query file {args.queries} and key file {args.keys}"
     else:
         rng = np.random.default_rng(args.seed)
         q = rng.standard_normal((args.n, args.d))
         k = rng.standard_normal((args.n, args.d))
-    selections = moba_selections(q, k, params)
+        source = f"seed {args.seed}"
+    try:
+        selections = moba_selections(q, k, params)
+    except ValueError as exc:  # shapes that disagree, or scores past float64
+        raise type(exc)(f"{source}: {exc}") from None
     _emit_json(
         {
             "command": "moba-trace",
@@ -432,9 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attn-check", help="attention equivalence suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", type=positive_int_list, default="1,4,8,16",
+    p.add_argument("--sizes", type=positive_list(int), default="1,4,8,16",
                    help="comma-separated sequence lengths")
-    p.add_argument("--dims", type=positive_int_list, default="2,4", help="comma-separated head dims")
+    p.add_argument("--dims", type=positive_list(int), default="2,4", help="comma-separated head dims")
     p.add_argument("--trials", type=positive_int, default=5)
     p.add_argument("--tolerance", type=finite_non_negative_float, default=DEFAULT_TOLERANCE)
     p.add_argument("--inject-fault", action="store_true",
@@ -459,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spike_report)
 
     p = sub.add_parser("scaling-table", help="cost/memory scaling CSV")
-    p.add_argument("--lengths", type=_length_list, default="128k,256k,512k,1M,2M,4M")
+    p.add_argument("--lengths", type=positive_list(parse_length), default="128k,256k,512k,1M,2M,4M")
     p.add_argument("--plan", default=None, help="layer plan JSON file (default: built-in plan)")
     p.add_argument("--schedule", choices=("fixed", "auto"), default="fixed")
     p.add_argument("--d-model", type=positive_int, default=4096)

@@ -17,6 +17,10 @@ context n):
 Memory: full and block-sparse layers hold the whole KV cache
 (2*n*d*bytes); window layers hold 2*min(w, n)*d*bytes; sparse-state
 layers hold a fixed state of N*d*d_v*bytes and no KV.
+
+Costs add field by field: a merged sse_swa layer costs its SSE half plus
+its window half, and a plan costs its layers' costs added in plan order,
+one LayerCost. There is no per-layer report object.
 """
 
 from __future__ import annotations
@@ -50,35 +54,20 @@ class CostParams:
 
 @dataclass(frozen=True)
 class LayerCost:
-    kind: str
+    """Attention cost of one layer, or of layers added together."""
+
     prefill_flops: float
     decode_flops: float
     kv_bytes: float
     state_bytes: float
 
-
-@dataclass
-class CostReport:
-    """Per-layer entries plus totals for one stack at one length."""
-
-    n: int
-    layers: list[LayerCost]
-
-    @property
-    def prefill_flops(self) -> float:
-        return sum(layer.prefill_flops for layer in self.layers)
-
-    @property
-    def decode_flops(self) -> float:
-        return sum(layer.decode_flops for layer in self.layers)
-
-    @property
-    def kv_bytes(self) -> float:
-        return sum(layer.kv_bytes for layer in self.layers)
-
-    @property
-    def state_bytes(self) -> float:
-        return sum(layer.state_bytes for layer in self.layers)
+    def __add__(self, other: LayerCost) -> LayerCost:
+        return LayerCost(
+            prefill_flops=self.prefill_flops + other.prefill_flops,
+            decode_flops=self.decode_flops + other.decode_flops,
+            kv_bytes=self.kv_bytes + other.kv_bytes,
+            state_bytes=self.state_bytes + other.state_bytes,
+        )
 
     @property
     def total_bytes(self) -> float:
@@ -94,7 +83,6 @@ def cost_fa(n: int, d: int, bytes_per_value: int = 2) -> LayerCost:
     _check_n(n)
     mac = FLOPS_PER_MAC
     return LayerCost(
-        kind="fa",
         prefill_flops=2 * mac * n * n * d,
         decode_flops=2 * mac * n * d,
         kv_bytes=2 * n * d * bytes_per_value,
@@ -107,7 +95,6 @@ def cost_moba(n: int, d: int, b: int, k: int, bytes_per_value: int = 2) -> Layer
     mac = FLOPS_PER_MAC
     attended = min(k * b, n)
     return LayerCost(
-        kind="moba",
         prefill_flops=mac * n * (n / b) * d + 2 * mac * n * attended * d,
         decode_flops=mac * (n / b) * d + 2 * mac * attended * d,
         kv_bytes=2 * n * d * bytes_per_value,
@@ -121,7 +108,6 @@ def cost_sse(n: int, d: int, num_partitions: int, k: int, d_v: int,
     mac = FLOPS_PER_MAC
     per_token = 2 * mac * d * d_v * (k + 1)  # rank-1 update + read over k+1 partitions
     return LayerCost(
-        kind="sse",
         prefill_flops=n * per_token,
         decode_flops=per_token,
         kv_bytes=0.0,
@@ -134,21 +120,10 @@ def cost_swa(n: int, d: int, w: int, bytes_per_value: int = 2) -> LayerCost:
     mac = FLOPS_PER_MAC
     span = min(w, n)
     return LayerCost(
-        kind="swa",
         prefill_flops=2 * mac * n * span * d,
         decode_flops=2 * mac * span * d,
         kv_bytes=2 * span * d * bytes_per_value,
         state_bytes=0.0,
-    )
-
-
-def _merge(kind: str, a: LayerCost, b: LayerCost) -> LayerCost:
-    return LayerCost(
-        kind=kind,
-        prefill_flops=a.prefill_flops + b.prefill_flops,
-        decode_flops=a.decode_flops + b.decode_flops,
-        kv_bytes=a.kv_bytes + b.kv_bytes,
-        state_bytes=a.state_bytes + b.state_bytes,
     )
 
 
@@ -159,16 +134,15 @@ def layer_cost(kind: str, n: int, p: CostParams) -> LayerCost:
     if kind == "moba":
         return cost_moba(n, d, p.moba_block_size, p.moba_top_k, by)
     if kind == "sse_swa":
-        return _merge(
-            "sse_swa",
-            cost_sse(n, d, p.sse_partitions, p.sse_top_k, p.sse_value_dim, by),
-            cost_swa(n, d, p.swa_window, by),
-        )
+        return (cost_sse(n, d, p.sse_partitions, p.sse_top_k, p.sse_value_dim, by)
+                + cost_swa(n, d, p.swa_window, by))
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
-def plan_cost(plan: LayerPlan, n: int, p: CostParams) -> CostReport:
-    return CostReport(n=n, layers=[layer_cost(kind, n, p) for kind in plan.kinds])
+def plan_cost(plan: LayerPlan, n: int, p: CostParams) -> LayerCost:
+    """The plan's layer costs added in plan order."""
+    first, *rest = (layer_cost(kind, n, p) for kind in plan.kinds)
+    return sum(rest, first)
 
 
 def all_fa_plan(num_layers: int) -> LayerPlan:

@@ -89,13 +89,15 @@ def moba_select(q, pooled, params: MobaParams, start: int = 0) -> np.ndarray:
     b = params.block_size
     selected = np.zeros((q.shape[0], pooled.shape[0]), dtype=bool)
     lo = 0
-    while lo < q.shape[0]:  # rows lo..hi-1 lie in query block j
-        j = (start + lo) // b
-        hi = min((j + 1) * b - start, q.shape[0])
-        scores = ensure_finite(q[lo:hi] @ pooled[: j + 1].T, "moba_select")  # top_k_mask takes no -inf
-        scores[:, j] = np.inf  # own block ranks first
-        selected[lo:hi, : j + 1] = top_k_mask(scores, params.top_k)
-        lo = hi
+    # an overflowing score is refused by ensure_finite, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo < q.shape[0]:  # rows lo..hi-1 lie in query block j
+            j = (start + lo) // b
+            hi = min((j + 1) * b - start, q.shape[0])
+            scores = ensure_finite(q[lo:hi] @ pooled[: j + 1].T, "moba_select")  # top_k_mask takes no -inf
+            scores[:, j] = np.inf  # own block ranks first
+            selected[lo:hi, : j + 1] = top_k_mask(scores, params.top_k)
+            lo = hi
     return selected
 
 

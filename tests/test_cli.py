@@ -208,6 +208,43 @@ def test_scaling_table_default_grid_is_increasing():
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
+# scaling-table's CSV bytes, pinned: the summed costs, the header and the
+# number formats must not move
+SCALING_CSV = {
+    ("fixed", None): """\
+n,fa_cost,dssa_cost,ratio,fa_kv_bytes,dssa_kv_bytes,moba_activation_ratio
+1,589824,164167698,0.003592813977,589824,109641728,1
+16,150994944,2768245248,0.05454536375,9437184,118489088,1
+131072,1.013309916e+16,1.260349563e+15,8.039911671,7.730941133e+10,2.163841434e+10,0.375
+4194304,1.037629354e+19,3.198611267e+17,32.4399956,2.473901162e+12,6.873583452e+11,0.01171875
+""",
+    ("auto", None): """\
+n,fa_cost,dssa_cost,ratio,fa_kv_bytes,dssa_kv_bytes,moba_activation_ratio
+1,589824,164167824,0.00359281122,589824,109641728,1
+16,150994944,2768277504,0.05454472819,9437184,118489088,1
+131072,1.013309916e+16,1.260349563e+15,8.039911671,7.730941133e+10,2.163841434e+10,0.375
+4194304,1.037629354e+19,3.198611267e+17,32.4399956,2.473901162e+12,6.873583452e+11,0.01171875
+""",
+    ("fixed", ("fa", "sse_swa")): """\
+n,fa_cost,dssa_cost,ratio,fa_kv_bytes,dssa_kv_bytes,moba_activation_ratio
+1,32768,6324224,0.00518134715,32768,4227072,1
+16,8388608,109051904,0.07692307692,524288,4718592,1
+131072,5.629499534e+14,2.825744883e+14,1.992217899,4294967296,2153775104,0.375
+4194304,5.764607523e+17,2.882655605e+17,1.999755889,1.374389535e+11,6.872576819e+10,0.01171875
+""",
+}
+
+
+@pytest.mark.parametrize(("schedule", "kinds"), list(SCALING_CSV), ids=["fixed", "auto", "two_layer_plan"])
+def test_scaling_table_csv_bytes_are_pinned(tmp_path, schedule, kinds):
+    argv = ["scaling-table", "--lengths", "1,16,128k,4M", "--schedule", schedule]
+    if kinds:
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"kinds": list(kinds)}))
+        argv += ["--plan", str(plan)]
+    assert run_cli(argv) == (0, SCALING_CSV[schedule, kinds])
+
+
 def test_plan_show_counts_line():
     code, out = run_cli(["plan-show"])
     assert code == 0
@@ -424,6 +461,10 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
     tensorio.save_tensor_json(str(q4x4), np.ones((4, 4)))
     tensorio.save_tensor_json(str(k3x2), np.ones((3, 2)))
     tensorio.save_tensor_json(str(k3x4), np.ones((3, 4)))
+    q_huge, k_huge = overflowing_moba_files(tmp_path)
+    w8x2, w16 = tmp_path / "w8x2.json", tmp_path / "w16.json"
+    tensorio.save_tensor_json(str(w8x2), np.ones((8, 2)))
+    tensorio.save_tensor_json(str(w16), np.ones(16))
     cases = [
         ["quant-report", "--input", str(tmp_path / "missing.json")],
         ["loss-check", "--fixture", str(bad_fixture)],
@@ -452,9 +493,6 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["moba-trace", "--d", "0"],
         ["moba-trace", "--block-size", "0"],
         ["moba-trace", "--top-k", "0"],
-        ["moba-trace", "--queries", str(q4x4), "--keys", str(k3x2)],
-        ["moba-trace", "--queries", str(q4x4), "--keys", str(k3x4), "--block-size", "1"],
-        ["quant-report", "--input", str(no_columns)],
         ["attn-check", "--tolerance", "nan"],
         ["attn-check", "--tolerance", "-1e-10"],
         ["layer-select", "--profile", str(profile_path), "--threshold", "nan"],
@@ -506,12 +544,41 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         # finite, but the spike product overflows float64
         ["spike-report", "--input",
          write("tensor_overflow", '{"shape": [1, 2], "data": [1e308, 1e308]}'), "--group-size", "2"],
+        # query and key files that disagree, or whose finite scores overflow float64
+        ["moba-trace", "--queries", str(q4x4), "--keys", str(k3x2)],
+        ["moba-trace", "--queries", str(q4x4), "--keys", str(k3x4), "--block-size", "1"],
+        ["moba-trace", "--queries", q_huge, "--keys", k_huge, "--block-size", "1", "--top-k", "3"],
+        # no elements to quantize
+        ["quant-report", "--input", str(no_columns)],
+        # a weight whose rows are not the input's columns, or one of one dimension
+        ["spike-report", "--input", tensor_file, "--weight", str(w8x2), "--group-size", "8"],
+        ["spike-report", "--input", tensor_file, "--weight", str(w16), "--group-size", "8"],
     ]
     for argv in cases + files:
         assert exit_code(argv) == 2, argv
         err = capsys.readouterr().err
         assert "error" in err and "Traceback" not in err, argv
         assert argv not in files or argv[2] in err, argv
+
+
+def overflowing_moba_files(tmp_path) -> tuple[str, str]:
+    """Finite query and key files whose q.pooled scores overflow float64:
+    1e200 against the pooled block -1e200 at --block-size 1."""
+    q, k = tmp_path / "q_huge.json", tmp_path / "k_huge.json"
+    tensorio.save_tensor_json(q, np.full((3, 1), 1e200))
+    tensorio.save_tensor_json(k, np.array([[1.0], [-1e200], [1.0]]))
+    return str(q), str(k)
+
+
+def test_moba_trace_overflow_is_one_error_line_naming_both_files(tmp_path, capsys):
+    q, k = overflowing_moba_files(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning beside the error
+        code = exit_code(["moba-trace", "--queries", q, "--keys", k, "--block-size", "1", "--top-k", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"dssalab: error: query file {q} and key file {k}: non-finite values in moba_select\n"
+    )
 
 
 def test_spike_report_overflow_is_one_error_line_naming_both_files(tmp_path, capsys):

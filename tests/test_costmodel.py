@@ -7,12 +7,13 @@ on the long-context length grid.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import pytest
 
 from dssalab.costmodel import (
     FLOPS_PER_MAC,
     CostParams,
-    CostReport,
     all_fa_plan,
     auto_moba_schedule,
     cost_fa,
@@ -95,21 +96,22 @@ def test_layer_cost_dispatch_and_merge():
     assert merged.decode_flops == sse.decode_flops + swa.decode_flops
     assert merged.kv_bytes == swa.kv_bytes
     assert merged.state_bytes == sse.state_bytes
+    assert merged == sse + swa
     with pytest.raises(ValueError):
         layer_cost("mystery", 256, p)
 
 
 def test_report_totals_are_sums_of_layers():
+    # a plan's cost is its layers' costs added in plan order, field by field
     p = CostParams(d_model=128)
-    report = plan_cost(default_plan(), 4096, p)
-    assert isinstance(report, CostReport)
-    assert len(report.layers) == 36
-    assert report.prefill_flops == sum(l.prefill_flops for l in report.layers)
-    assert report.decode_flops == sum(l.decode_flops for l in report.layers)
-    assert report.kv_bytes == sum(l.kv_bytes for l in report.layers)
-    assert report.state_bytes == sum(l.state_bytes for l in report.layers)
-    assert report.total_bytes == report.kv_bytes + report.state_bytes
-    assert report.n == 4096
+    for plan in (default_plan(), LayerPlan(kinds=("fa", "sse_swa", "moba"))):
+        for n in (1, 4096, 128 * KIB):
+            total = plan_cost(plan, n, p)
+            sums = [0] * 4  # from 0, as a plain sum() over the layers starts
+            for kind in plan.kinds:
+                sums = [a + b for a, b in zip(sums, astuple(layer_cost(kind, n, p)))]
+            assert astuple(total) == tuple(sums)  # the same numbers, added in the same order
+            assert total.total_bytes == sums[2] + sums[3]
 
 
 def test_moba_never_cheaper_than_needed_vs_fa_when_dense():
