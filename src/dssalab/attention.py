@@ -70,9 +70,10 @@ def masked_attention(q, k, v, keep) -> np.ndarray:
     n = q.shape[0]
     if keep.shape != (n, n):
         raise ShapeError(f"keep mask shape {keep.shape} != ({n}, {n})")
-    scores = q @ k.T
-    np.copyto(scores, NEG_INF, where=~keep)
-    return ensure_finite(softmax_rows(scores) @ v, "masked_attention")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        scores = q @ k.T
+        np.copyto(scores, NEG_INF, where=~keep)
+        return ensure_finite(softmax_rows(scores) @ v, "masked_attention")
 
 
 def _windowed(q, k, v, window: int) -> np.ndarray:
@@ -87,15 +88,18 @@ def _windowed(q, k, v, window: int) -> np.ndarray:
     v_ones = np.concatenate([v, np.ones((h, n, 1))], axis=2)
     out = np.empty((n, h * d_v))
     (heads,) = split_heads(h, out)
-    for s in range(0, n, ROW_CHUNK):
-        e = min(s + ROW_CHUNK, n)
-        lo = max(0, s - w + 1)
-        off = lo - s + w - 1
-        scores = q[:, s:e] @ k[:, lo:e].swapaxes(-1, -2)
-        np.copyto(scores, NEG_INF, where=~band[: e - s, off : off + e - lo])
-        exp_rows(scores)
-        pv = scores @ v_ones[:, lo:e]
-        heads[:, s:e] = pv[..., :-1] / pv[..., -1:]
+    # a score that overflows to +inf is refused by exp_rows, one that
+    # reaches P.V by ensure_finite, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, n, ROW_CHUNK):
+            e = min(s + ROW_CHUNK, n)
+            lo = max(0, s - w + 1)
+            off = lo - s + w - 1
+            scores = q[:, s:e] @ k[:, lo:e].swapaxes(-1, -2)
+            np.copyto(scores, NEG_INF, where=~band[: e - s, off : off + e - lo])
+            exp_rows(scores)
+            pv = scores @ v_ones[:, lo:e]
+            heads[:, s:e] = pv[..., :-1] / pv[..., -1:]
     return ensure_finite(out, "attention")
 
 
@@ -117,8 +121,9 @@ def swa(q, k, v, window: int, *, n_heads: int = 1) -> np.ndarray:
 def linear_attention_parallel(q, k, v) -> np.ndarray:
     """Masked-product form of linear attention: (Q K^T . M) V, unnormalized."""
     q, k, v = _check_qkv(q, k, v)
-    weights = np.where(causal_keep(q.shape[0]), q @ k.T, 0.0)
-    return ensure_finite(weights @ v, "linear_attention_parallel")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        weights = np.where(causal_keep(q.shape[0]), q @ k.T, 0.0)
+        return ensure_finite(weights @ v, "linear_attention_parallel")
 
 
 def linear_attention_recurrent(q, k, v) -> np.ndarray:
@@ -131,9 +136,10 @@ def linear_attention_recurrent(q, k, v) -> np.ndarray:
     d_v = v.shape[1]
     state = np.zeros((d, d_v))
     out = np.empty((n, d_v))
-    for t in range(n):
-        state += np.outer(k[t], v[t])
-        out[t] = q[t] @ state
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for t in range(n):
+            state += np.outer(k[t], v[t])
+            out[t] = q[t] @ state
     return ensure_finite(out, "linear_attention_recurrent")
 
 

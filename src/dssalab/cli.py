@@ -123,11 +123,6 @@ def _fault(keep: np.ndarray, fault: bool) -> np.ndarray:
     return keep
 
 
-def _masked(q, k, v, keep: np.ndarray, fault: bool) -> np.ndarray:
-    """The dense-mask reference."""
-    return masked_attention(q, k, v, _fault(keep, fault))
-
-
 def _sse_gated_recurrent(x, q, k, v, params: SSEParams, fault: bool) -> np.ndarray:
     """The per-token gated SSE recurrence: token t ranks the softmax gates of
     x_t (stable argsort, ties to the lower partition), adds gate-weighted
@@ -190,9 +185,12 @@ def cmd_attn_check(args) -> int:
                         _sse_gated_recurrent(q, q, k, v, gated, fault)),
                     "moba_select_all_vs_full": (moba_forward(q, k, v, select_all), full_attention(q, k, v)),
                     "moba_sparse_vs_masked": (
-                        moba_forward(q, k, v, sparse), _masked(q, k, v, _moba_keep(q, k, sparse), fault)),
-                    "swa_full_window_vs_full": (swa(q, k, v, n), _masked(q, k, v, window_keep(n, n), fault)),
-                    "swa_vs_masked": (swa(q, k, v, w), _masked(q, k, v, window_keep(n, w), fault)),
+                        moba_forward(q, k, v, sparse),
+                        masked_attention(q, k, v, _fault(_moba_keep(q, k, sparse), fault))),
+                    "swa_full_window_vs_full": (
+                        swa(q, k, v, n), masked_attention(q, k, v, _fault(window_keep(n, n), fault))),
+                    "swa_vs_masked": (
+                        swa(q, k, v, w), masked_attention(q, k, v, _fault(window_keep(n, w), fault))),
                 }
                 for name, (got, want) in rows.items():
                     errors[name] = max(errors.get(name, 0.0), _max_abs_diff(got, want))
@@ -213,12 +211,14 @@ def cmd_attn_check(args) -> int:
 
 def cmd_quant_report(args) -> int:
     w = tensorio.load_tensor(args.input)
-    if w.ndim != 2:
-        raise ShapeError(f"quant-report needs a 2-D tensor, got shape {w.shape}")
-    grid = tuple(float(part) for part in args.grid.split(",") if part)
+    try:
+        grid = tuple(float(part) for part in args.grid.split(",") if part)
+        quant.clip_grid_desc(grid)
+    except ValueError as exc:
+        raise ValueError(f"--grid {args.grid}: {exc}") from None
     try:
         qw = quant.quantize_weight_blocks(w, grid=grid, block_shape=(args.block_size, args.block_size))
-    except ValueError as exc:  # no elements, or finite values too large to quantize
+    except ValueError as exc:  # not 2-D, no elements, or finite values too large to quantize
         raise type(exc)(f"tensor file {args.input}: {exc}") from None
     if args.save:
         quant.save_block_matrix(args.save, qw)
@@ -242,21 +242,18 @@ def cmd_quant_report(args) -> int:
 
 def cmd_spike_report(args) -> int:
     x = tensorio.load_tensor(args.input)
-    if x.ndim != 2:
-        raise ShapeError(f"spike-report needs a 2-D tensor, got shape {x.shape}")
-    if x.shape[1] == 0:
-        raise ShapeError(f"spike-report input {args.input} has no columns, shape {x.shape}")
-    qa = quant.quantize_activation_groups(x, group_size=args.group_size)
-    train = spike.spike_encode(qa)
-    if args.weight:
-        w = tensorio.load_tensor(args.weight)
-    else:
-        w = np.ones((x.shape[1], 1))  # notional single output column
+    w = tensorio.load_tensor(args.weight) if args.weight else None
     try:
+        qa = quant.quantize_activation_groups(x, group_size=args.group_size)
+        if x.shape[1] == 0:
+            raise ShapeError(f"no columns, shape {x.shape}")
+        train = spike.spike_encode(qa)
+        if w is None:
+            w = np.ones((x.shape[1], 1))  # notional single output column
         qw = quant.quantize_weight_blocks(w, block_shape=(args.group_size, args.group_size))
         product, report = spike.spike_matmul(train, qw)
         reference = quant.int8_matmul_reference(qa, qw)
-    except ValueError as exc:  # a weight of the wrong shape, or a product past float64
+    except ValueError as exc:  # not 2-D, a weight of the wrong shape, or a product past float64
         through = f" through weight file {args.weight}" if args.weight else ""
         raise type(exc)(f"tensor file {args.input}{through}: {exc}") from None
     matches = bool(np.array_equal(product, reference))

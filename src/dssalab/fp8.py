@@ -17,7 +17,6 @@ import numpy as np
 from .quant import QuantizedBlockMatrix, QuantizedGroupActivation, encode_groups, int8_tiles
 from .tensor_ops import as_f64
 
-EXP_BITS = 4
 MAN_BITS = 3
 EXP_BIAS = 7
 MAX_FINITE = 448.0

@@ -165,7 +165,9 @@ def moba_forward(q, k, v, params: MobaParams, *, n_heads: int = 1) -> np.ndarray
     for qh, kh, vh, oh in zip(q, k, v, heads):
         selected = moba_select(qh[m:], block_pool_keys(kh, b), params, m)  # zero rows when m == n
         if m < n:
-            oh[m:] = ensure_finite(_sparse_rows(qh, kh, vh, selected, m, b, slots), "attention")
+            # a score past float64 is refused by exp_rows or ensure_finite, so numpy need not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                oh[m:] = ensure_finite(_sparse_rows(qh, kh, vh, selected, m, b, slots), "attention")
     return out
 
 

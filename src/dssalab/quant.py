@@ -11,19 +11,14 @@ fp8.py shares). Both are exact: a tile sum of at most 127*127*width is an
 integer that the float type holds, and the int32 accumulator the format
 promises bounds it far below 2**53.
 
-Serialized container layouts (all little-endian):
-
-* block matrix:  magic ``QBLKI8\\x00\\x00``, u32 nrows, u32 ncols,
-  u32 block_rows, u32 block_cols, f32 scales then f32 clips (row-major
-  over the block grid), int8 codes (row-major).
-* group activation: magic ``QGRPI8\\x00\\x00``, u32 nrows, u32 ncols,
-  u32 group_size, f32 scales (row-major), int8 codes (row-major).
-
-Both go through tensorio's one binary writer and checked reader, which
-reject a header that claims more bytes than the file holds and bytes after
-the codes; the loaders add a positive block shape and group size, finite
-scales and clips, and no int8 code -128. The writers refuse a scale or
-clip that float32 cannot hold finitely.
+The block matrix container (all little-endian): magic
+``QBLKI8\\x00\\x00``, u32 nrows, u32 ncols, u32 block_rows, u32 block_cols,
+f32 scales then f32 clips (row-major over the block grid), int8 codes
+(row-major). It goes through tensorio's one binary writer and checked
+reader, which reject a header that claims more bytes than the file holds
+and bytes after the codes; the loader adds a positive block shape, finite
+scales and clips, and no int8 code -128. The writer refuses a scale or clip
+that float32 cannot hold finitely.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from .tensor_ops import NumericsError, ShapeError, as_f64, ensure_finite
 from .tensorio import _BinReader, _write_bin
 
 BLOCK_MAGIC = b"QBLKI8\x00\x00"
-GROUP_MAGIC = b"QGRPI8\x00\x00"
 DEFAULT_BLOCK_SHAPE = (128, 128)
 DEFAULT_GROUP_SIZE = 128
 DEFAULT_CLIP_GRID = tuple(round(1.0 - 0.05 * i, 2) for i in range(11))  # 1.00 .. 0.50
@@ -135,6 +129,17 @@ def _clamp_round(x: np.ndarray) -> np.ndarray:
     return np.clip(round_half_away(x), -127, 127).astype(np.int8)
 
 
+def clip_grid_desc(grid) -> list[float]:
+    """The clip coefficients, largest first, so that a tie keeps the larger
+    c; an empty grid or a coefficient outside (0, 1] raises ValueError."""
+    if len(grid) == 0:
+        raise ValueError("clip grid is empty")
+    for c in grid:
+        if not 0.0 < c <= 1.0:
+            raise ValueError(f"clip coefficients must lie in (0, 1], got {c}")
+    return sorted(grid, reverse=True)
+
+
 def quantize_weight_blocks(
     w,
     grid: tuple[float, ...] = DEFAULT_CLIP_GRID,
@@ -153,12 +158,7 @@ def quantize_weight_blocks(
     if w.size == 0:
         raise ValueError(f"weights have no elements, shape {w.shape}")
     ensure_finite(w, "quantize_weight_blocks")
-    if len(grid) == 0:
-        raise ValueError("clip grid is empty")
-    for c in grid:
-        if not 0.0 < c <= 1.0:
-            raise ValueError(f"clip coefficients must lie in (0, 1], got {c}")
-    grid_desc = sorted(grid, reverse=True)  # scan larger c first so ties keep it
+    grid_desc = clip_grid_desc(grid)
     rs, cs = block_shape
     if rs < 1 or cs < 1:
         raise ValueError(f"block shape must be positive, got {block_shape}")
@@ -255,28 +255,9 @@ def _finite_f32(path, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _take_finite(r: _BinReader, count: int) -> np.ndarray:
-    """The next count float32 scales or clips, as float64; a NaN or an
-    infinity among them would dequantize to non-finite values."""
-    values = r.take("<f4", count).astype(np.float64)
-    if not np.isfinite(values).all():
-        raise r.error("a scale or clip is not finite")
-    return values
-
-
 def save_block_matrix(path, qw: QuantizedBlockMatrix) -> None:
     _write_bin(path, BLOCK_MAGIC, [*qw.codes.shape, *qw.block_shape],
                _finite_f32(path, qw.scales), _finite_f32(path, qw.clips), qw.codes.astype("<i1"))
-
-
-def _take_codes(r: _BinReader, shape: tuple[int, int]) -> np.ndarray:
-    """The codes that end a container: a -128 code breaks the 7-plane spike
-    coding and the int32 accumulator bound, and no bytes may follow."""
-    codes = r.take("<i1", math.prod(shape))
-    r.end()
-    if codes.min(initial=0) < -127:
-        raise r.error("a code of -128 lies outside [-127, 127]")
-    return codes.astype(np.int8).reshape(shape)
 
 
 def load_block_matrix(path) -> QuantizedBlockMatrix:
@@ -285,21 +266,14 @@ def load_block_matrix(path) -> QuantizedBlockMatrix:
     if rs < 1 or cs < 1:
         raise r.error(f"block shape {(rs, cs)} in the header is not positive")
     grid = ((nrows + rs - 1) // rs, (ncols + cs - 1) // cs)
-    scales, clips = _take_finite(r, 2 * math.prod(grid)).reshape(2, *grid)
-    codes = _take_codes(r, (nrows, ncols))
+    scales, clips = r.take("<f4", 2 * math.prod(grid)).astype(np.float64).reshape(2, *grid)
+    # a NaN or an infinity would dequantize to non-finite values
+    if not (np.isfinite(scales).all() and np.isfinite(clips).all()):
+        raise r.error("a scale or clip is not finite")
+    codes = r.take("<i1", nrows * ncols)
+    r.end()
+    # a -128 code breaks the 7-plane spike coding and the int32 accumulator bound
+    if codes.min(initial=0) < -127:
+        raise r.error("a code of -128 lies outside [-127, 127]")
+    codes = codes.astype(np.int8).reshape(nrows, ncols)
     return QuantizedBlockMatrix(codes, scales, clips, mse=np.zeros(grid), block_shape=(rs, cs))
-
-
-def save_group_activation(path, qa: QuantizedGroupActivation) -> None:
-    _write_bin(path, GROUP_MAGIC, [*qa.codes.shape, qa.group_size],
-               _finite_f32(path, qa.scales), qa.codes.astype("<i1"))
-
-
-def load_group_activation(path) -> QuantizedGroupActivation:
-    r = _BinReader(path, GROUP_MAGIC)
-    n, d, gs = r.take("<u4", 3).tolist()
-    if gs < 1:
-        raise r.error(f"group size {gs} in the header is not positive")
-    grid = (n, (d + gs - 1) // gs)
-    scales = _take_finite(r, math.prod(grid)).reshape(grid)
-    return QuantizedGroupActivation(codes=_take_codes(r, (n, d)), scales=scales, group_size=gs)

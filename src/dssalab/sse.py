@@ -75,7 +75,8 @@ def sse_gate(x, params: SSEParams) -> tuple[np.ndarray, np.ndarray]:
     x = as_f64(x)
     if x.ndim != 2 or x.shape[1] != params.gate_weight.shape[0]:
         raise ShapeError(f"token rows {x.shape} do not match gate rows {params.gate_weight.shape[0]}")
-    gates = softmax_rows(x @ params.gate_weight)
+    with np.errstate(over="ignore", invalid="ignore"):  # a gate score past float64 is refused by softmax_rows
+        gates = softmax_rows(x @ params.gate_weight)
     return gates, top_k_mask(gates, params.top_k)
 
 
@@ -125,6 +126,7 @@ def sse_forward(x, q, k, v, params: SSEParams, *, n_heads: int = 1) -> SSEResult
     a = np.where(selected, gates, 0.0)[:, :, None]
     n, d = q.shape[1:]
     expanded = (n_heads, n, params.num_partitions * d)  # row t of a head is a_t (x) q_t, partition-major
-    outputs = _chunked_scan(*((a * t[:, :, None, :]).reshape(expanded) for t in (q, k)), v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past float64 is refused below
+        outputs = _chunked_scan(*((a * t[:, :, None, :]).reshape(expanded) for t in (q, k)), v)
     freqs = np.cumsum(selected, axis=0) / np.arange(1, n + 1)[:, None]
     return SSEResult(outputs=ensure_finite(outputs, "sse_forward"), gates=gates, freqs=freqs, selected=selected)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 NEG_INF = float("-inf")
+RMS_EPS = 1e-6
 
 
 class ShapeError(ValueError):
@@ -81,23 +82,19 @@ def top_k_mask(x, k: int) -> np.ndarray:
     return mask
 
 
-def rms_norm(x, weight, eps: float = 1e-6) -> np.ndarray:
-    """y_j = w_j * x_j / sqrt(mean(x^2) + eps), over the last axis."""
+def rms_norm(x, weight) -> np.ndarray:
+    """y_j = w_j * x_j / sqrt(mean(x^2) + RMS_EPS), over the last axis."""
     x = as_f64(x)
     w = as_f64(weight)
     if x.shape[-1] != w.shape[-1] or w.ndim != 1:
         raise ShapeError(f"weight length {w.shape} != row length {x.shape[-1]}")
     ms = np.mean(x * x, axis=-1, keepdims=True)
-    return ensure_finite(w * x / np.sqrt(ms + eps), "rms_norm")
-
-
-def sigmoid(x) -> np.ndarray:
-    x = as_f64(x)
-    e = np.exp(-np.abs(x))  # never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return ensure_finite(w * x / np.sqrt(ms + RMS_EPS), "rms_norm")
 
 
 def silu(x) -> np.ndarray:
-    """x * sigmoid(x)."""
+    """x * sigmoid(x), as x / (1 + exp(-x)): below exp's range, where
+    exp(-x) overflows to inf, the result is -0."""
     x = as_f64(x)
-    return ensure_finite(x * sigmoid(x), "silu")
+    with np.errstate(over="ignore", invalid="ignore"):  # -inf in gives NaN, refused here
+        return ensure_finite(x / (1.0 + np.exp(-x)), "silu")

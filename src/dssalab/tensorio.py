@@ -9,9 +9,9 @@ Binary (larger fixtures):
     8-byte magic b"TNSRF32\\0", u32 rank, u32 dims[rank], then the payload
     as little-endian float32, row-major. Integers are little-endian.
 
-This binary file and quant's two INT8 containers share one layout (magic,
-u32 header, payload arrays), one writer (_write_bin) and one checked
-reader (_BinReader).
+This binary file and quant's INT8 block container share one layout
+(magic, u32 header, payload arrays), one writer (_write_bin) and one
+checked reader (_BinReader).
 """
 
 from __future__ import annotations

@@ -553,6 +553,11 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         # a weight whose rows are not the input's columns, or one of one dimension
         ["spike-report", "--input", tensor_file, "--weight", str(w8x2), "--group-size", "8"],
         ["spike-report", "--input", tensor_file, "--weight", str(w16), "--group-size", "8"],
+        # a tensor of one dimension
+        ["quant-report", "--input", str(w16)],
+        ["spike-report", "--input", str(w16)],
+        # a clip outside (0, 1] is the fault of --grid (argv[2]), not of the tensor file
+        ["quant-report", f"--input={tensor_file}", "--grid", "2"],
     ]
     for argv in cases + files:
         assert exit_code(argv) == 2, argv

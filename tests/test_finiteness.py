@@ -13,11 +13,15 @@ split would let it through.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from dssalab.attention import ROW_CHUNK, full_attention, swa
+from dssalab.attention import (
+    ROW_CHUNK, causal_keep, full_attention, linear_attention_parallel, linear_attention_recurrent,
+    masked_attention, swa,
+)
 from dssalab.moba import MobaParams, moba_forward
 from dssalab.sse import CHUNK, SSEParams, sse_forward
 from dssalab.stack import LayerPlan, StackConfig, init_stack_params, stack_forward
@@ -85,6 +89,47 @@ def test_attention_raises_on_an_inf_key_that_weighs_zero(call):
     k[3, 0] = np.inf
     with np.errstate(all="ignore"), pytest.raises(NumericsError):
         call(q, k, v)
+
+
+# finite q and keys whose scores pass float64: the key -1e200 scores -inf
+# (weight 0) and the others 1e200. Row t of the routed inputs scores every
+# even key at +inf (n = 256, b = 2, top_k = 2: every row is routed). A
+# gate weight of 1e200 scores SSE's gates at +inf
+Q_HUGE, K_HUGE, V_ONES = np.full((3, 1), 1e200), np.array([[1.0], [-1e200], [1.0]]), np.ones((3, 1))
+Q_ROUTED = np.full((256, 1), 1e200)
+K_ROUTED = np.where(np.arange(256) % 2 == 0, 1e200, -1e200)[:, None]
+OVERFLOWING_SCORES = {
+    # name -> (call, its result with numpy's warnings ignored: an array or NumericsError)
+    "full_attention": (lambda: full_attention(Q_HUGE, K_HUGE, V_ONES), V_ONES),
+    "swa": (lambda: swa(Q_HUGE, K_HUGE, V_ONES, 2), V_ONES),
+    "masked_attention": (lambda: masked_attention(Q_HUGE, K_HUGE, V_ONES, causal_keep(3)), V_ONES),
+    "moba, rows attending fully": (lambda: moba_forward(Q_HUGE, K_HUGE, V_ONES, MobaParams(1, 3)), V_ONES),
+    "moba, routed rows": (lambda: moba_forward(Q_ROUTED, K_ROUTED, np.ones((256, 1)), MobaParams(2, 2)),
+                          NumericsError),
+    "linear_attention_parallel": (lambda: linear_attention_parallel(Q_HUGE, K_HUGE, V_ONES), NumericsError),
+    "linear_attention_recurrent": (lambda: linear_attention_recurrent(Q_HUGE, K_HUGE, V_ONES), NumericsError),
+    "sse_forward, one partition": (
+        lambda: sse_forward(Q_HUGE, Q_HUGE, K_HUGE, V_ONES, SSEParams(1, 1, np.zeros((1, 1)))).outputs,
+        NumericsError),
+    "sse_forward, gate scores": (
+        lambda: sse_forward(Q_HUGE, Q_HUGE, K_HUGE, V_ONES, SSEParams(2, 1, np.full((1, 2), 1e200))).outputs,
+        NumericsError),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_SCORES)
+def test_scores_past_float64_give_a_result_or_one_error(name):
+    # numpy's own RuntimeWarning must not come first: the mechanism returns
+    # what it returns with warnings ignored, or raises its own NumericsError
+    call, want = OVERFLOWING_SCORES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is NumericsError:
+            with pytest.raises(NumericsError):
+                call()
+        else:
+            got = call()
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_sse_forward_raises_on_non_finite_at_chunk_edges():

@@ -9,20 +9,18 @@ from dssalab.fp8 import encode_array, fp8_matmul_emulated, fp8_quantize
 from dssalab.quant import (
     BLOCK_MAGIC,
     DEFAULT_CLIP_GRID,
-    GROUP_MAGIC,
     QuantizedBlockMatrix,
     QuantizedGroupActivation,
     int8_matmul_reference,
     load_block_matrix,
-    load_group_activation,
     quantize_activation_groups,
     quantize_weight_blocks,
     round_half_away,
     save_block_matrix,
-    save_group_activation,
 )
 from dssalab.spike import spike_encode, spike_matmul
 from dssalab.tensor_ops import NumericsError, ShapeError
+from dssalab.tensorio import save_tensor_bin
 
 
 def clip_search_oracle(block, grid):
@@ -295,24 +293,11 @@ def test_block_container_roundtrip(tmp_path):
     assert np.allclose(back.clips, qw.clips, atol=1e-7)
 
 
-def test_group_container_roundtrip(tmp_path):
-    rng = np.random.default_rng(38)
-    qa = quantize_activation_groups(rng.standard_normal((5, 20)), group_size=8)
-    path = tmp_path / "a.qgrp"
-    save_group_activation(path, qa)
-    back = load_group_activation(path)
-    assert np.array_equal(back.codes, qa.codes)
-    assert back.group_size == 8
-    assert np.allclose(back.scales, qa.scales, atol=1e-7)
-
-
 def test_container_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad"
     path.write_bytes(b"XXXXXXXX" + b"\x00" * 32)
     with pytest.raises(ValueError):
         load_block_matrix(path)
-    with pytest.raises(ValueError):
-        load_group_activation(path)
     # truncated containers: cut inside the header, the scales and the codes
     rng = np.random.default_rng(39)
     good = tmp_path / "good"
@@ -325,55 +310,32 @@ def test_container_rejects_wrong_magic(tmp_path):
     path.write_bytes(raw[:-1] + b"\x80")  # int8 code -128: outside [-127, 127]
     with pytest.raises(ValueError, match="-128"):
         load_block_matrix(path)
-    save_group_activation(good, quantize_activation_groups(rng.standard_normal((2, 8)), group_size=4))
-    raw = good.read_bytes()  # 8 magic + 12 header + 16 scales + 16 codes
-    for cut in (12, 30, len(raw) - 1):
-        path.write_bytes(raw[:cut])
-        with pytest.raises(ValueError, match="bad"):
-            load_group_activation(path)
-    path.write_bytes(raw[:-1] + b"\x80")
-    with pytest.raises(ValueError, match="-128"):
-        load_group_activation(path)
     # a header that claims more than the file holds is rejected before any
     # read is sized from it; so are bytes appended after the codes
-    block_raw = good.with_name("good_block")
-    save_block_matrix(block_raw, quantize_weight_blocks(rng.standard_normal((8, 8)), block_shape=(4, 4)))
-    for magic, load, claim, rest in (
-        (BLOCK_MAGIC, load_block_matrix, (65536, 65536, 1, 1), 68),
-        (BLOCK_MAGIC, load_block_matrix, (2**32 - 1, 2**32 - 1, 1, 1), 68),
-        (GROUP_MAGIC, load_group_activation, (65536, 65536, 1), 72),
-        (GROUP_MAGIC, load_group_activation, (2**32 - 1, 2**32 - 1, 1), 72),
-    ):
-        path.write_bytes(magic + struct.pack(f"<{len(claim)}I", *claim) + b"\x00" * rest)
+    for claim in ((65536, 65536, 1, 1), (2**32 - 1, 2**32 - 1, 1, 1)):
+        path.write_bytes(BLOCK_MAGIC + struct.pack("<4I", *claim) + b"\x00" * 68)
         with pytest.raises(ValueError, match="bad"):
-            load(path)
-    for source, load in ((block_raw, load_block_matrix), (good, load_group_activation)):
-        path.write_bytes(source.read_bytes() + b"\x00")
-        with pytest.raises(ValueError, match="bad: 1 bytes follow"):
-            load(path)
-    # a well-formed container read as the other format; a header whose block
-    # shape or group size is 0
-    for source, load in ((block_raw, load_group_activation), (good, load_block_matrix)):
-        path.write_bytes(source.read_bytes())
-        with pytest.raises(ValueError, match="bad: does not start with the magic"):
-            load(path)
-    for blob, load in ((BLOCK_MAGIC + struct.pack("<4I", 1, 1, 0, 1), load_block_matrix),
-                       (BLOCK_MAGIC + struct.pack("<4I", 1, 1, 1, 0), load_block_matrix),
-                       (GROUP_MAGIC + struct.pack("<3I", 1, 1, 0), load_group_activation)):
+            load_block_matrix(path)
+    path.write_bytes(good.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="bad: 1 bytes follow"):
+        load_block_matrix(path)
+    # a tensor file is not a block container; a header whose block shape is 0
+    save_tensor_bin(path, np.ones((8, 8)))
+    with pytest.raises(ValueError, match="bad: does not start with the magic"):
+        load_block_matrix(path)
+    for blob in (BLOCK_MAGIC + struct.pack("<4I", 1, 1, 0, 1), BLOCK_MAGIC + struct.pack("<4I", 1, 1, 1, 0)):
         path.write_bytes(blob + b"\x00" * 9)
         with pytest.raises(ValueError, match="bad: .* is not positive"):
-            load(path)
+            load_block_matrix(path)
     # a NaN or an infinity among the scales or the clips: it would dequantize
-    # to non-finite values. Block scales start at byte 24, clips at 40; group
-    # scales at byte 20
-    for source, load, offset in ((block_raw, load_block_matrix, 24), (block_raw, load_block_matrix, 40),
-                                 (good, load_group_activation, 20), (good, load_group_activation, 32)):
+    # to non-finite values. Scales start at byte 24, clips at 40
+    for offset in (24, 40):
         for bad in (np.nan, np.inf, -np.inf):
-            raw = bytearray(source.read_bytes())
+            raw = bytearray(good.read_bytes())
             raw[offset : offset + 4] = struct.pack("<f", bad)
             path.write_bytes(bytes(raw))
             with pytest.raises(ValueError, match="bad: a scale or clip is not finite"):
-                load(path)
+                load_block_matrix(path)
 
 
 def test_container_writers_refuse_scales_not_finite_in_float32(tmp_path):
@@ -383,19 +345,17 @@ def test_container_writers_refuse_scales_not_finite_in_float32(tmp_path):
     for scale in (1e100, np.nan):
         qw = QuantizedBlockMatrix(codes=codes, scales=np.array([[scale]]), clips=np.ones((1, 1)),
                                   mse=np.zeros((1, 1)), block_shape=(2, 2))
-        qa = QuantizedGroupActivation(codes=codes, scales=np.array([[1.0], [scale]]), group_size=2)
-        for save, q in ((save_block_matrix, qw), (save_group_activation, qa)):
-            with pytest.raises(ValueError, match="refused: a scale or clip is not finite in float32"):
-                save(path, q)
-            assert not path.exists()
+        with pytest.raises(ValueError, match="refused: a scale or clip is not finite in float32"):
+            save_block_matrix(path, qw)
+        assert not path.exists()
     qw.scales[0, 0], qw.clips[0, 0] = 1.0, -np.inf
     with pytest.raises(ValueError, match="refused"):
         save_block_matrix(path, qw)
 
 
 def test_container_formats_are_pinned(tmp_path):
-    # the bytes of one tiny input per container: a writer edit that changes
-    # a format fails here
+    # the bytes of one tiny input: a writer edit that changes the format
+    # fails here
     path = tmp_path / "c"
     qw = QuantizedBlockMatrix(codes=np.array([[1, -127], [0, 127]], dtype=np.int8),
                               scales=np.array([[0.5]]), clips=np.array([[1.0]]),
@@ -408,13 +368,3 @@ def test_container_formats_are_pinned(tmp_path):
     back = load_block_matrix(path)
     assert np.array_equal(back.codes, qw.codes) and back.block_shape == (2, 2)
     assert np.array_equal(back.scales, qw.scales) and np.array_equal(back.clips, qw.clips)
-    qa = QuantizedGroupActivation(codes=np.array([[3, -5]], dtype=np.int8),
-                                  scales=np.array([[0.25]]), group_size=2)
-    save_group_activation(path, qa)
-    assert path.read_bytes() == (
-        b"QGRPI8\x00\x00" b"\x01\x00\x00\x00\x02\x00\x00\x00\x02\x00\x00\x00"
-        b"\x00\x00\x80\x3e" b"\x03\xfb"
-    )
-    back = load_group_activation(path)
-    assert np.array_equal(back.codes, qa.codes) and back.group_size == 2
-    assert np.array_equal(back.scales, qa.scales)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +15,6 @@ from dssalab.tensor_ops import (
     NumericsError,
     exp_rows,
     rms_norm,
-    sigmoid,
     silu,
     softmax_rows,
     top_k_mask,
@@ -122,29 +123,25 @@ def test_rms_norm_zero_row_is_finite():
     assert np.array_equal(got, np.zeros((1, 4)))
 
 
-def sigmoid_masked(x: np.ndarray) -> np.ndarray:
-    # the masked two-branch form sigmoid replaced; each branch exponentiates
-    # only values <= 0, so neither overflows
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    # the two-branch form silu was once built on: exp(-|x|) never overflows,
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def test_sigmoid_silu_values():
-    assert sigmoid(np.array(0.0)) == 0.5
-    assert abs(silu(np.array(0.0))) == 0.0
-    x = np.array([-700.0, 700.0])
-    s = sigmoid(x)
-    assert np.all(np.isfinite(s)) and s[0] < 1e-300 and s[1] == 1.0
-    edges = [0.0, -0.0, 40.0, -40.0, 745.0, -745.0, 1000.0, -1000.0, 5e-324, -5e-324]
-    x = np.concatenate([np.random.default_rng(5).normal(0.0, 50.0, (256, 32)).ravel(), edges])
-    assert np.array_equal(sigmoid(x), sigmoid_masked(x))
-    # silu(x) = x * sigmoid(x)
-    r = np.linspace(-5, 5, 21)
-    assert np.allclose(silu(r), r * sigmoid(r), atol=1e-15)
+def test_silu_matches_x_times_sigmoid():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.normal(0.0, sigma, 100_000) for sigma in (1.0, 30.0, 300.0)]
+                       + [np.linspace(-800.0, 800.0, 16_001), [0.0, -0.0, 5e-324, -5e-324, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp(-x) overflows below -709.78, silently
+        got = silu(x)
+        low = silu(np.array([-746.0, -1000.0, -1e300]))
+    assert np.all(np.abs(got - x * sigmoid(x)) <= 4.5e-16 * np.maximum(1.0, np.abs(x)))
+    assert got[-1] == 1e300
+    # below exp's range the result is -0, sign bit included
+    assert np.array_equal(low, np.zeros(3)) and np.signbit(low).all()
 
 
 # few distinct values, so rows hold ties; +inf as moba_select's own block.
