@@ -284,11 +284,12 @@ def _load_plan(path: str | None) -> stack.LayerPlan:
 
 def cmd_scaling_table(args) -> int:
     plan = _load_plan(args.plan)
-    params = costmodel.CostParams(
-        d_model=args.d_model,
-        moba_block_size=args.block_size,
-        moba_top_k=args.top_k,
-    )
+    for flag, value in (("--block-size", args.block_size), ("--top-k", args.top_k)):
+        if args.schedule == "auto" and value is not None:
+            raise ValueError(f"{flag} does not apply under --schedule auto, which sets it per length")
+    # a flag left out takes CostParams' default
+    given = {"d_model": args.d_model, "moba_block_size": args.block_size, "moba_top_k": args.top_k}
+    params = costmodel.CostParams(**{name: value for name, value in given.items() if value is not None})
     rows = costmodel.scaling_rows(args.lengths, params, plan=plan, schedule=args.schedule)
     lines = [",".join(f.name for f in fields(costmodel.ScalingRow))]
     for r in rows:
@@ -444,14 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quant-report", help="blockwise INT8 weight stats")
     p.add_argument("--input", required=True, help="tensor file (json or binary)")
     p.add_argument("--grid", default=",".join(str(c) for c in quant.DEFAULT_CLIP_GRID))
-    p.add_argument("--block-size", type=positive_int, default=128)
+    p.add_argument("--block-size", type=positive_int, default=quant.DEFAULT_GROUP_SIZE)
     p.add_argument("--save", default=None, help="write the quantized container here")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_quant_report)
 
     p = sub.add_parser("spike-report", help="spike expansion stats")
     p.add_argument("--input", required=True, help="activation tensor file")
-    p.add_argument("--group-size", type=positive_int, default=128)
+    p.add_argument("--group-size", type=positive_int, default=quant.DEFAULT_GROUP_SIZE)
     p.add_argument("--weight", default=None, help="optional weight tensor file")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spike_report)
@@ -460,9 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lengths", type=positive_list(parse_length), default="128k,256k,512k,1M,2M,4M")
     p.add_argument("--plan", default=None, help="layer plan JSON file (default: built-in plan)")
     p.add_argument("--schedule", choices=("fixed", "auto"), default="fixed")
-    p.add_argument("--d-model", type=positive_int, default=4096)
-    p.add_argument("--block-size", type=positive_int, default=4096)
-    p.add_argument("--top-k", type=positive_int, default=12)
+    p.add_argument("--d-model", type=positive_int)
+    p.add_argument("--block-size", type=positive_int)
+    p.add_argument("--top-k", type=positive_int)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scaling_table)
 

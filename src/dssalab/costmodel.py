@@ -6,49 +6,52 @@ across mechanisms and are deliberately excluded, so only the attention
 scaling shape differs between stacks. Absolute numbers are therefore
 nominal; the model's claims live in ratios and growth rates.
 
-Per-layer FLOP shapes (prefill over n tokens / decode for one token at
-context n):
+Per-layer prefill FLOPs over n tokens at width d:
 
-* full attention:  4*n^2*d            / 4*n*d
-* block-sparse:    2*n^2*d/b + 4*n*min(k*b, n)*d  / 2*(n/b)*d + 4*min(k*b, n)*d
-* sparse-state:    4*n*d*d_v*(k+1)    / 4*d*d_v*(k+1)
-* sliding window:  4*n*min(w, n)*d    / 4*min(w, n)*d
+* full attention:  4*n^2*d
+* block-sparse:    2*n^2*d/b + 4*n*min(k*b, n)*d
+* sparse-state:    4*n*d*d_v*(k+1)
+* sliding window:  4*n*min(w, n)*d
 
 Memory: full and block-sparse layers hold the whole KV cache
 (2*n*d*bytes); window layers hold 2*min(w, n)*d*bytes; sparse-state
 layers hold a fixed state of N*d*d_v*bytes and no KV.
 
+CostParams sets d, b and k. The rest are module constants: 2 bytes per
+value, N = 4 SSE partitions, SSE top-k 2, d_v = 128 and w = 128.
+
 Costs add field by field: a merged sse_swa layer costs its SSE half plus
 its window half, and a plan costs its layers' costs added in plan order,
-one LayerCost. There is no per-layer report object.
+one LayerCost. A plan whose cost passes float64 raises NumericsError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import astuple, dataclass, replace
 
 from .moba import activation_ratio
 from .stack import LayerPlan, default_plan
+from .tensor_ops import NumericsError
 
 FLOPS_PER_MAC = 2
+BYTES_PER_VALUE = 2
+SSE_PARTITIONS = 4
+SSE_TOP_K = 2
+SSE_VALUE_DIM = 128
+SWA_WINDOW = 128
 
 
 @dataclass(frozen=True)
 class CostParams:
-    """Model-level constants shared by every layer."""
+    """Model width and the block-sparse layers' block size and top-k."""
 
     d_model: int = 4096
-    bytes_per_value: int = 2
-    sse_partitions: int = 4
-    sse_top_k: int = 2
-    sse_value_dim: int = 128
-    swa_window: int = 128
     moba_block_size: int = 4096
     moba_top_k: int = 12
 
     def __post_init__(self):
-        if min(self.d_model, self.bytes_per_value, self.sse_partitions, self.sse_top_k,
-               self.sse_value_dim, self.swa_window, self.moba_block_size, self.moba_top_k) < 1:
+        if min(self.d_model, self.moba_block_size, self.moba_top_k) < 1:
             raise ValueError("all cost parameters must be >= 1")
 
 
@@ -57,14 +60,12 @@ class LayerCost:
     """Attention cost of one layer, or of layers added together."""
 
     prefill_flops: float
-    decode_flops: float
     kv_bytes: float
     state_bytes: float
 
     def __add__(self, other: LayerCost) -> LayerCost:
         return LayerCost(
             prefill_flops=self.prefill_flops + other.prefill_flops,
-            decode_flops=self.decode_flops + other.decode_flops,
             kv_bytes=self.kv_bytes + other.kv_bytes,
             state_bytes=self.state_bytes + other.state_bytes,
         )
@@ -79,82 +80,75 @@ def _check_n(n: int) -> None:
         raise ValueError(f"sequence length must be >= 1, got {n}")
 
 
-def cost_fa(n: int, d: int, bytes_per_value: int = 2) -> LayerCost:
+def cost_fa(n: int, d: int) -> LayerCost:
     _check_n(n)
     mac = FLOPS_PER_MAC
     return LayerCost(
         prefill_flops=2 * mac * n * n * d,
-        decode_flops=2 * mac * n * d,
-        kv_bytes=2 * n * d * bytes_per_value,
+        kv_bytes=2 * n * d * BYTES_PER_VALUE,
         state_bytes=0.0,
     )
 
 
-def cost_moba(n: int, d: int, b: int, k: int, bytes_per_value: int = 2) -> LayerCost:
+def cost_moba(n: int, d: int, b: int, k: int) -> LayerCost:
     _check_n(n)
     mac = FLOPS_PER_MAC
     attended = min(k * b, n)
     return LayerCost(
         prefill_flops=mac * n * (n / b) * d + 2 * mac * n * attended * d,
-        decode_flops=mac * (n / b) * d + 2 * mac * attended * d,
-        kv_bytes=2 * n * d * bytes_per_value,
+        kv_bytes=2 * n * d * BYTES_PER_VALUE,
         state_bytes=0.0,
     )
 
 
-def cost_sse(n: int, d: int, num_partitions: int, k: int, d_v: int,
-             bytes_per_value: int = 2) -> LayerCost:
+def cost_sse(n: int, d: int, num_partitions: int, k: int, d_v: int) -> LayerCost:
     _check_n(n)
     mac = FLOPS_PER_MAC
     per_token = 2 * mac * d * d_v * (k + 1)  # rank-1 update + read over k+1 partitions
     return LayerCost(
         prefill_flops=n * per_token,
-        decode_flops=per_token,
         kv_bytes=0.0,
-        state_bytes=num_partitions * d * d_v * bytes_per_value,
+        state_bytes=num_partitions * d * d_v * BYTES_PER_VALUE,
     )
 
 
-def cost_swa(n: int, d: int, w: int, bytes_per_value: int = 2) -> LayerCost:
+def cost_swa(n: int, d: int, w: int) -> LayerCost:
     _check_n(n)
     mac = FLOPS_PER_MAC
     span = min(w, n)
     return LayerCost(
         prefill_flops=2 * mac * n * span * d,
-        decode_flops=2 * mac * span * d,
-        kv_bytes=2 * span * d * bytes_per_value,
+        kv_bytes=2 * span * d * BYTES_PER_VALUE,
         state_bytes=0.0,
     )
 
 
 def layer_cost(kind: str, n: int, p: CostParams) -> LayerCost:
-    d, by = p.d_model, p.bytes_per_value
+    d = p.d_model
     if kind == "fa":
-        return cost_fa(n, d, by)
+        return cost_fa(n, d)
     if kind == "moba":
-        return cost_moba(n, d, p.moba_block_size, p.moba_top_k, by)
+        return cost_moba(n, d, p.moba_block_size, p.moba_top_k)
     if kind == "sse_swa":
-        return (cost_sse(n, d, p.sse_partitions, p.sse_top_k, p.sse_value_dim, by)
-                + cost_swa(n, d, p.swa_window, by))
+        return cost_sse(n, d, SSE_PARTITIONS, SSE_TOP_K, SSE_VALUE_DIM) + cost_swa(n, d, SWA_WINDOW)
     raise ValueError(f"unknown layer kind {kind!r}")
 
 
 def plan_cost(plan: LayerPlan, n: int, p: CostParams) -> LayerCost:
-    """The plan's layer costs added in plan order."""
-    first, *rest = (layer_cost(kind, n, p) for kind in plan.kinds)
-    return sum(rest, first)
+    """The plan's layer costs added in plan order; NumericsError if a cost
+    passes float64 (an int too large for a float, or an infinity)."""
+    try:
+        first, *rest = (layer_cost(kind, n, p) for kind in plan.kinds)
+        total = sum(rest, first)
+        if all(map(math.isfinite, astuple(total))):
+            return total
+    except OverflowError:
+        pass
+    raise NumericsError(f"attention cost at n={n}, d_model={p.d_model} passes float64")
 
 
 def all_fa_plan(num_layers: int) -> LayerPlan:
     return LayerPlan(kinds=("fa",) * num_layers)
-
-
-def kv_ratio(plan: LayerPlan, n: int, p: CostParams) -> float:
-    """KV+state bytes of an all-full-attention stack of the same depth,
-    over those of the given plan."""
-    dense = plan_cost(all_fa_plan(len(plan)), n, p).total_bytes
-    mixed = plan_cost(plan, n, p).total_bytes
-    return dense / mixed
 
 
 def auto_moba_schedule(n: int) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quant import QuantizedBlockMatrix, QuantizedGroupActivation, encode_groups, int8_tiles
+from .quant import DEFAULT_GROUP_SIZE, QuantizedBlockMatrix, QuantizedGroupActivation, encode_groups, int8_tiles
 from .tensor_ops import as_f64
 
 MAN_BITS = 3
@@ -79,7 +79,7 @@ class Fp8GroupActivation(QuantizedGroupActivation):
     max_units = int(MAX_FINITE) << 9  # |decoded code| in units of 2**-9, the subnormal step
 
 
-def fp8_quantize(x, group_size: int = 128) -> Fp8GroupActivation:
+def fp8_quantize(x, group_size: int = DEFAULT_GROUP_SIZE) -> Fp8GroupActivation:
     codes, scales = encode_groups(x, group_size, MAX_FINITE, encode_array, np.uint8, "fp8_quantize")
     return Fp8GroupActivation(codes=codes, scales=scales, group_size=group_size)
 

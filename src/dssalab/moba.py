@@ -175,4 +175,5 @@ def activation_ratio(n: int, block_size: int, top_k: int) -> float:
     """Fraction of the key space a full-width query can touch."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return min(1.0, top_k * block_size / n)
+    touched = top_k * block_size  # checked before the division: a huge quotient is no float
+    return 1.0 if touched >= n else touched / n

@@ -32,8 +32,8 @@ from .tensor_ops import NumericsError, ShapeError, as_f64, ensure_finite
 from .tensorio import _BinReader, _write_bin
 
 BLOCK_MAGIC = b"QBLKI8\x00\x00"
-DEFAULT_BLOCK_SHAPE = (128, 128)
 DEFAULT_GROUP_SIZE = 128
+DEFAULT_BLOCK_SHAPE = (DEFAULT_GROUP_SIZE, DEFAULT_GROUP_SIZE)
 DEFAULT_CLIP_GRID = tuple(round(1.0 - 0.05 * i, 2) for i in range(11))  # 1.00 .. 0.50
 
 

@@ -26,7 +26,7 @@ from dssalab.attention import (
     swa,
 )
 from dssalab.cli import main as cli_main
-from dssalab.costmodel import CostParams, kv_ratio, scaling_rows
+from dssalab.costmodel import CostParams, scaling_rows
 from dssalab.fp8 import CODEPOINTS
 from dssalab.losses import aux_loss, combined_loss_llm, kd_topk_kl
 from dssalab.moba import MobaParams, activation_ratio, moba_forward
@@ -302,7 +302,7 @@ def test_criterion_07_long_context_cost_claims():
     subquadratic = all(
         b.dssa_cost / a.dssa_cost < 4.0 for a, b in zip(rows, rows[1:])
     )
-    kv = kv_ratio(default_plan(), 4 * MIB, CostParams())
+    kv = rows[-1].fa_kv_bytes / rows[-1].dssa_kv_bytes  # at 4M
     kv_ok = abs(kv - 3.6) <= 0.05
     ok = increasing and subquadratic and kv_ok
     report(7, ok, f"dense/hybrid cost ratio grows {ratios[0]:.2f}->{ratios[-1]:.2f}, "

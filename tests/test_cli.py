@@ -211,38 +211,47 @@ def test_scaling_table_default_grid_is_increasing():
 # scaling-table's CSV bytes, pinned: the summed costs, the header and the
 # number formats must not move
 SCALING_CSV = {
-    ("fixed", None): """\
+    ("fixed", None, ()): """\
 n,fa_cost,dssa_cost,ratio,fa_kv_bytes,dssa_kv_bytes,moba_activation_ratio
 1,589824,164167698,0.003592813977,589824,109641728,1
 16,150994944,2768245248,0.05454536375,9437184,118489088,1
 131072,1.013309916e+16,1.260349563e+15,8.039911671,7.730941133e+10,2.163841434e+10,0.375
 4194304,1.037629354e+19,3.198611267e+17,32.4399956,2.473901162e+12,6.873583452e+11,0.01171875
 """,
-    ("auto", None): """\
+    ("auto", None, ()): """\
 n,fa_cost,dssa_cost,ratio,fa_kv_bytes,dssa_kv_bytes,moba_activation_ratio
 1,589824,164167824,0.00359281122,589824,109641728,1
 16,150994944,2768277504,0.05454472819,9437184,118489088,1
 131072,1.013309916e+16,1.260349563e+15,8.039911671,7.730941133e+10,2.163841434e+10,0.375
 4194304,1.037629354e+19,3.198611267e+17,32.4399956,2.473901162e+12,6.873583452e+11,0.01171875
 """,
-    ("fixed", ("fa", "sse_swa")): """\
+    ("fixed", ("fa", "sse_swa"), ()): """\
 n,fa_cost,dssa_cost,ratio,fa_kv_bytes,dssa_kv_bytes,moba_activation_ratio
 1,32768,6324224,0.00518134715,32768,4227072,1
 16,8388608,109051904,0.07692307692,524288,4718592,1
 131072,5.629499534e+14,2.825744883e+14,1.992217899,4294967296,2153775104,0.375
 4194304,5.764607523e+17,2.882655605e+17,1.999755889,1.374389535e+11,6.872576819e+10,0.01171875
 """,
+    # every cost flag set
+    ("fixed", None, ("--d-model", "64", "--block-size", "1024", "--top-k", "8")): """\
+n,fa_cost,dssa_cost,ratio,fa_kv_bytes,dssa_kv_bytes,moba_activation_ratio
+1,9216,2565121.125,0.003592812796,9216,1713152,1
+16,2359296,43254048,0.05454509136,147456,1851392,1
+131072,1.583296744e+14,7.337951625e+12,21.57682177,1207959552,338100224,0.0625
+4194304,1.621295866e+17,4.616849325e+15,35.1169326,3.865470566e+10,1.073997414e+10,0.001953125
+""",
 }
 
 
-@pytest.mark.parametrize(("schedule", "kinds"), list(SCALING_CSV), ids=["fixed", "auto", "two_layer_plan"])
-def test_scaling_table_csv_bytes_are_pinned(tmp_path, schedule, kinds):
-    argv = ["scaling-table", "--lengths", "1,16,128k,4M", "--schedule", schedule]
+@pytest.mark.parametrize(("schedule", "kinds", "flags"), list(SCALING_CSV),
+                         ids=["fixed", "auto", "two_layer_plan", "cost_flags"])
+def test_scaling_table_csv_bytes_are_pinned(tmp_path, schedule, kinds, flags):
+    argv = ["scaling-table", "--lengths", "1,16,128k,4M", "--schedule", schedule, *flags]
     if kinds:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({"kinds": list(kinds)}))
         argv += ["--plan", str(plan)]
-    assert run_cli(argv) == (0, SCALING_CSV[schedule, kinds])
+    assert run_cli(argv) == (0, SCALING_CSV[schedule, kinds, flags])
 
 
 def test_plan_show_counts_line():
@@ -537,6 +546,12 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["spike-report", "--input", write("tensor_bool_text", '{"shape": [1, 2], "data": [true, "1.5"]}')],
         ["plan-show", "--plan", write("plan_empty", '{"kinds": []}')],
         ["scaling-table", "--plan", write("plan_empty", '{"kinds": []}')],
+        # a length or a width whose cost passes float64
+        ["scaling-table", "--lengths", str(10**152)],
+        ["scaling-table", "--d-model", str(10**302), "--lengths", "4096"],
+        # a block size or top-k that --schedule auto would ignore
+        ["scaling-table", "--schedule=auto", "--block-size", "64"],
+        ["scaling-table", "--schedule=auto", "--top-k", "2"],
         ["spike-report", "--input", str(trailing_byte)],
         # finite, but the clip search's squared error overflows float64
         ["quant-report", "--input",

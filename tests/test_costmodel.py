@@ -7,25 +7,30 @@ on the long-context length grid.
 
 from __future__ import annotations
 
-from dataclasses import astuple
+from dataclasses import asdict, fields
 
 import pytest
 
 from dssalab.costmodel import (
     FLOPS_PER_MAC,
+    SSE_PARTITIONS,
+    SSE_TOP_K,
+    SSE_VALUE_DIM,
+    SWA_WINDOW,
     CostParams,
+    LayerCost,
     all_fa_plan,
     auto_moba_schedule,
     cost_fa,
     cost_moba,
     cost_sse,
     cost_swa,
-    kv_ratio,
     layer_cost,
     plan_cost,
     scaling_rows,
 )
 from dssalab.stack import LayerPlan, default_plan
+from dssalab.tensor_ops import NumericsError
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -36,9 +41,8 @@ def test_flops_per_mac_constant():
 
 
 def test_fa_layer_closed_form():
-    entry = cost_fa(n=1000, d=64, bytes_per_value=2)
+    entry = cost_fa(n=1000, d=64)
     assert entry.prefill_flops == 4 * 1000 * 1000 * 64
-    assert entry.decode_flops == 4 * 1000 * 64
     assert entry.kv_bytes == 2 * 1000 * 64 * 2
     assert entry.state_bytes == 0.0
 
@@ -48,7 +52,6 @@ def test_moba_layer_closed_form():
     entry = cost_moba(n, d, b, k)
     attended = min(k * b, n)
     assert entry.prefill_flops == 2 * n * (n / b) * d + 4 * n * attended * d
-    assert entry.decode_flops == 2 * (n / b) * d + 4 * attended * d
     assert entry.kv_bytes == 2 * n * d * 2
 
 
@@ -65,12 +68,10 @@ def test_sse_layer_closed_form_and_length_independence():
     entry = cost_sse(n=5000, d=64, num_partitions=4, k=2, d_v=128)
     per_token = 4 * 64 * 128 * (2 + 1)
     assert entry.prefill_flops == 5000 * per_token
-    assert entry.decode_flops == per_token
     assert entry.kv_bytes == 0.0
     assert entry.state_bytes == 4 * 64 * 128 * 2
-    # decode cost and state do not grow with n
+    # the state does not grow with n
     longer = cost_sse(n=500000, d=64, num_partitions=4, k=2, d_v=128)
-    assert longer.decode_flops == entry.decode_flops
     assert longer.state_bytes == entry.state_bytes
 
 
@@ -87,13 +88,11 @@ def test_swa_layer_closed_form_and_window_cap():
 
 
 def test_layer_cost_dispatch_and_merge():
-    p = CostParams(d_model=64, swa_window=16, sse_partitions=4, sse_top_k=2,
-                   sse_value_dim=8, moba_block_size=32, moba_top_k=2)
+    p = CostParams(d_model=64, moba_block_size=32, moba_top_k=2)
     merged = layer_cost("sse_swa", 256, p)
-    sse = cost_sse(256, 64, 4, 2, 8, 2)
-    swa = cost_swa(256, 64, 16, 2)
+    sse = cost_sse(256, 64, SSE_PARTITIONS, SSE_TOP_K, SSE_VALUE_DIM)
+    swa = cost_swa(256, 64, SWA_WINDOW)
     assert merged.prefill_flops == sse.prefill_flops + swa.prefill_flops
-    assert merged.decode_flops == sse.decode_flops + swa.decode_flops
     assert merged.kv_bytes == swa.kv_bytes
     assert merged.state_bytes == sse.state_bytes
     assert merged == sse + swa
@@ -107,11 +106,27 @@ def test_report_totals_are_sums_of_layers():
     for plan in (default_plan(), LayerPlan(kinds=("fa", "sse_swa", "moba"))):
         for n in (1, 4096, 128 * KIB):
             total = plan_cost(plan, n, p)
-            sums = [0] * 4  # from 0, as a plain sum() over the layers starts
+            # by field name, from 0, as a plain sum() over the layers starts
+            sums = {f.name: 0 for f in fields(LayerCost)}
             for kind in plan.kinds:
-                sums = [a + b for a, b in zip(sums, astuple(layer_cost(kind, n, p)))]
-            assert astuple(total) == tuple(sums)  # the same numbers, added in the same order
-            assert total.total_bytes == sums[2] + sums[3]
+                layer = layer_cost(kind, n, p)
+                sums = {name: value + getattr(layer, name) for name, value in sums.items()}
+            assert asdict(total) == sums  # the same numbers, added in the same order
+            assert total.total_bytes == sums["kv_bytes"] + sums["state_bytes"]
+
+
+def test_cost_past_float64_raises_naming_n_and_width():
+    # ints too large for a float: the dense stack's sum at n=10**152, and
+    # every layer at d=10**302
+    for n, d in ((10**152, 4096), (4096, 10**302)):
+        with pytest.raises(NumericsError, match=f"n={n}, d_model={d} passes float64"):
+            scaling_rows([n], CostParams(d_model=d))
+    # a float that reaches inf: the block-sparse score pass 2*n^2*d/b = 2**1101
+    # beside an attended term 4*n*k*b*d = 2**702 that an int holds
+    p = CostParams(d_model=2**300, moba_block_size=1, moba_top_k=1)
+    assert cost_moba(2**400, p.d_model, 1, 1).prefill_flops == float("inf")
+    with pytest.raises(NumericsError, match="passes float64"):
+        plan_cost(LayerPlan(kinds=("moba",)), 2**400, p)
 
 
 def test_moba_never_cheaper_than_needed_vs_fa_when_dense():
@@ -141,11 +156,12 @@ def test_hybrid_cost_growth_is_subquadratic():
 
 
 def test_kv_ratio_approaches_design_target():
-    assert kv_ratio(default_plan(), 4 * MIB, CostParams()) == pytest.approx(3.6, abs=0.05)
-    # the ratio grows toward that ceiling with n
-    r_small = kv_ratio(default_plan(), 64 * KIB, CostParams())
-    r_big = kv_ratio(default_plan(), 4 * MIB, CostParams())
-    assert r_big > r_small
+    # KV+state bytes of an all-full-attention stack over the hybrid plan's
+    small, big = scaling_rows([64 * KIB, 4 * MIB], CostParams())
+    r_small, r_big = (r.fa_kv_bytes / r.dssa_kv_bytes for r in (small, big))
+    assert r_big == 3.599143270339702
+    assert r_big == pytest.approx(3.6, abs=0.05)
+    assert r_big > r_small  # the ratio grows toward that ceiling with n
 
 
 def test_auto_schedule_mapping():

@@ -360,6 +360,7 @@ def test_activation_ratio_values():
     assert activation_ratio(262144, 4096, 12) == 0.1875
     assert activation_ratio(524288, 4096, 12) == 0.09375
     assert activation_ratio(100, 64, 4) == 1.0  # capped
+    assert activation_ratio(1, 10**400, 1) == 1.0  # capped before a quotient no float holds
 
 
 def test_params_validation():
