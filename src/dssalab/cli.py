@@ -20,15 +20,19 @@ Subcommands:
 * moba-trace: per-query block selections for a query and a key tensor
   file, or for seeded random inputs.
 
-All JSON output carries schema_version and sorted keys, and result
-records are written through dataclasses.asdict; identical arguments and
-seed give byte-identical bytes. JSON input is read by tensorio.read_json.
-Exit codes: 0 success, 1 check failure, 2 usage or input error.
+Each command returns its exit code and its record: a dict, or the text of
+a table. main alone writes records, to stdout or to --out: a dict as JSON
+with schema_version, the command's name as "command" and sorted keys.
+Result records are built through dataclasses.asdict; identical arguments
+and seed give byte-identical bytes. JSON input is read by
+tensorio.read_json. Exit codes: 0 success, 1 check failure, 2 usage or
+input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict, astuple, fields
@@ -47,24 +51,20 @@ from .attention import (
 )
 from .moba import MobaParams, block_pool_keys, moba_forward, moba_select, moba_selections
 from .sse import SSEParams, sse_forward
-from .tensor_ops import NumericsError, ShapeError, softmax_rows
+from .tensor_ops import ShapeError, softmax_rows
 
 SCHEMA_VERSION = 1
 DEFAULT_TOLERANCE = 1e-10
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(obj: dict, out_path: str | None) -> None:
-    obj = {"schema_version": SCHEMA_VERSION, **obj}
-    # a NaN or infinity is not JSON: raise (exit 2) rather than write it
-    _emit(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n", out_path)
+@contextlib.contextmanager
+def _naming(source: str):
+    """Prefix any ValueError raised inside with the input it came from, so
+    its one error line names that input."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
 
 
 def positive_int(text: str) -> int:
@@ -148,7 +148,7 @@ def _moba_keep(q, k, params: MobaParams) -> np.ndarray:
     return np.repeat(selected, b, axis=1)[:, :n] & causal_keep(n)
 
 
-def cmd_attn_check(args) -> int:
+def cmd_attn_check(args) -> tuple[int, dict]:
     if args.inject_fault and max(args.sizes) < 2:
         # the fault drops the last row's first key, so it is injected only at
         # n >= 2, where that row keeps another
@@ -199,51 +199,41 @@ def cmd_attn_check(args) -> int:
         for name, err in sorted(errors.items())
     ]
     ok = all(p["pass"] for p in properties)
-    _emit_json(
-        {"command": "attn-check", "seed": args.seed, "properties": properties, "pass": ok},
-        args.out,
-    )
-    return 0 if ok else 1
+    return 0 if ok else 1, {"seed": args.seed, "properties": properties, "pass": ok}
 
 
 # -------------------------------------------------------------- quant-report
 
 
-def cmd_quant_report(args) -> int:
+def cmd_quant_report(args) -> tuple[int, dict]:
     w = tensorio.load_tensor(args.input)
-    try:
+    with _naming(f"--grid {args.grid}"):
         grid = tuple(float(part) for part in args.grid.split(",") if part)
         quant.clip_grid_desc(grid)
-    except ValueError as exc:
-        raise ValueError(f"--grid {args.grid}: {exc}") from None
-    try:
+    # not 2-D, no elements, or finite values too large to quantize
+    with _naming(f"tensor file {args.input}"):
         qw = quant.quantize_weight_blocks(w, grid=grid, block_shape=(args.block_size, args.block_size))
-    except ValueError as exc:  # not 2-D, no elements, or finite values too large to quantize
-        raise type(exc)(f"tensor file {args.input}: {exc}") from None
     if args.save:
         quant.save_block_matrix(args.save, qw)
-    _emit_json(
-        {
-            "command": "quant-report",
-            "shape": list(qw.shape),
-            "block_shape": list(qw.block_shape),
-            "grid": list(grid),
-            "chosen_clip": qw.clips.tolist(),
-            "mse_per_block": qw.mse.tolist(),
-            "mean_mse": float(qw.mse.mean()),
-        },
-        args.out,
-    )
-    return 0
+    return 0, {
+        "shape": list(qw.shape),
+        "block_shape": list(qw.block_shape),
+        "grid": list(grid),
+        "chosen_clip": qw.clips.tolist(),
+        "mse_per_block": qw.mse.tolist(),
+        "mean_mse": float(qw.mse.mean()),
+    }
 
 
 # -------------------------------------------------------------- spike-report
 
 
-def cmd_spike_report(args) -> int:
+def cmd_spike_report(args) -> tuple[int, dict]:
     x = tensorio.load_tensor(args.input)
     w = tensorio.load_tensor(args.weight) if args.weight else None
-    try:
+    through = f" through weight file {args.weight}" if args.weight else ""
+    # not 2-D, a weight of the wrong shape, or a product past float64
+    with _naming(f"tensor file {args.input}{through}"):
         qa = quant.quantize_activation_groups(x, group_size=args.group_size)
         if x.shape[1] == 0:
             raise ShapeError(f"no columns, shape {x.shape}")
@@ -253,22 +243,14 @@ def cmd_spike_report(args) -> int:
         qw = quant.quantize_weight_blocks(w, block_shape=(args.group_size, args.group_size))
         product, report = spike.spike_matmul(train, qw)
         reference = quant.int8_matmul_reference(qa, qw)
-    except ValueError as exc:  # not 2-D, a weight of the wrong shape, or a product past float64
-        through = f" through weight file {args.weight}" if args.weight else ""
-        raise type(exc)(f"tensor file {args.input}{through}: {exc}") from None
     matches = bool(np.array_equal(product, reference))
-    _emit_json(
-        {
-            "command": "spike-report",
-            "shape": list(x.shape),
-            "group_size": args.group_size,
-            "firing_rate": spike.firing_rate(train),
-            "matches_int8_reference": matches,
-            **asdict(report),
-        },
-        args.out,
-    )
-    return 0 if matches else 1
+    return 0 if matches else 1, {
+        "shape": list(x.shape),
+        "group_size": args.group_size,
+        "firing_rate": spike.firing_rate(train),
+        "matches_int8_reference": matches,
+        **asdict(report),
+    }
 
 
 # ------------------------------------------------------------- scaling-table
@@ -282,7 +264,7 @@ def _load_plan(path: str | None) -> stack.LayerPlan:
     return stack.default_plan() if path is None else tensorio.read_json(path, _plan)
 
 
-def cmd_scaling_table(args) -> int:
+def cmd_scaling_table(args) -> tuple[int, str]:
     plan = _load_plan(args.plan)
     for flag, value in (("--block-size", args.block_size), ("--top-k", args.top_k)):
         if args.schedule == "auto" and value is not None:
@@ -295,14 +277,13 @@ def cmd_scaling_table(args) -> int:
     for r in rows:
         n, *values = astuple(r)
         lines.append(",".join([str(n), *(f"{v:.10g}" for v in values)]))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, "\n".join(lines)
 
 
 # ----------------------------------------------------------------- plan-show
 
 
-def cmd_plan_show(args) -> int:
+def cmd_plan_show(args) -> tuple[int, str]:
     plan = _load_plan(args.plan)
     counts = plan.counts()
     lines = [
@@ -313,8 +294,7 @@ def cmd_plan_show(args) -> int:
     ]
     for i, kind in enumerate(plan.kinds):
         lines.append(f"{i:>5}  {kind}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, "\n".join(lines)
 
 
 # -------------------------------------------------------------- layer-select
@@ -325,19 +305,14 @@ def _profile(obj: dict) -> stack.SensitivityProfile:
     return stack.SensitivityProfile(scores=scores)
 
 
-def cmd_layer_select(args) -> int:
+def cmd_layer_select(args) -> tuple[int, dict]:
     profile = tensorio.read_json(args.profile, _profile)
     selected = stack.select_moba_layers(profile, args.threshold)
-    _emit_json(
-        {
-            "command": "layer-select",
-            "num_layers": len(profile.scores),
-            "threshold": args.threshold,
-            "selected": selected,
-        },
-        args.out,
-    )
-    return 0
+    return 0, {
+        "num_layers": len(profile.scores),
+        "threshold": args.threshold,
+        "selected": selected,
+    }
 
 
 # ---------------------------------------------------------------- loss-check
@@ -376,23 +351,21 @@ def _demo_loss_fixture(seed: int) -> dict:
     return {"mode": "llm", "ce": 2.0, "aux": aux.per_token, "kd": kd.value, "mse": mse}
 
 
-def cmd_loss_check(args) -> int:
+def cmd_loss_check(args) -> tuple[int, dict]:
     if args.fixture:
         mode, parts = tensorio.read_json(args.fixture, _loss_fixture)
     else:
         mode, parts = _loss_fixture(_demo_loss_fixture(args.seed))
-    try:
+    # parts out of their range, or finite parts whose weighted sum passes float64
+    with _naming(f"fixture {args.fixture}"):
         breakdown = LOSS_MODES[mode][0](**parts)
-    except NumericsError as exc:  # finite parts whose weighted sum passes float64
-        raise NumericsError(f"fixture {args.fixture}: {exc}") from None
-    _emit_json({"command": "loss-check", "mode": mode, **asdict(breakdown)}, args.out)
-    return 0
+    return 0, {"mode": mode, **asdict(breakdown)}
 
 
 # ---------------------------------------------------------------- moba-trace
 
 
-def cmd_moba_trace(args) -> int:
+def cmd_moba_trace(args) -> tuple[int, dict]:
     params = MobaParams(block_size=args.block_size, top_k=args.top_k)
     if bool(args.queries) != bool(args.keys):
         raise ValueError(f"--queries and --keys go together; got only {args.queries or args.keys}")
@@ -405,21 +378,14 @@ def cmd_moba_trace(args) -> int:
         q = rng.standard_normal((args.n, args.d))
         k = rng.standard_normal((args.n, args.d))
         source = f"seed {args.seed}"
-    try:
+    with _naming(source):  # shapes that disagree, or scores past float64
         selections = moba_selections(q, k, params)
-    except ValueError as exc:  # shapes that disagree, or scores past float64
-        raise type(exc)(f"{source}: {exc}") from None
-    _emit_json(
-        {
-            "command": "moba-trace",
-            "n": q.shape[0],
-            "block_size": args.block_size,
-            "top_k": args.top_k,
-            "selections": [asdict(s) for s in selections],
-        },
-        args.out,
-    )
-    return 0
+    return 0, {
+        "n": q.shape[0],
+        "block_size": args.block_size,
+        "top_k": args.top_k,
+        "selections": [asdict(s) for s in selections],
+    }
 
 
 # -------------------------------------------------------------------- parser
@@ -439,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", action="store_true",
                    help="drop one kept key in the window and sparse MoBA suites and one selected "
                         "partition in the gated SSE suite (negative control)")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_attn_check)
 
     p = sub.add_parser("quant-report", help="blockwise INT8 weight stats")
@@ -447,14 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=",".join(str(c) for c in quant.DEFAULT_CLIP_GRID))
     p.add_argument("--block-size", type=positive_int, default=quant.DEFAULT_GROUP_SIZE)
     p.add_argument("--save", default=None, help="write the quantized container here")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_quant_report)
 
     p = sub.add_parser("spike-report", help="spike expansion stats")
     p.add_argument("--input", required=True, help="activation tensor file")
     p.add_argument("--group-size", type=positive_int, default=quant.DEFAULT_GROUP_SIZE)
     p.add_argument("--weight", default=None, help="optional weight tensor file")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spike_report)
 
     p = sub.add_parser("scaling-table", help="cost/memory scaling CSV")
@@ -464,24 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-model", type=positive_int)
     p.add_argument("--block-size", type=positive_int)
     p.add_argument("--top-k", type=positive_int)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_scaling_table)
 
     p = sub.add_parser("plan-show", help="layer plan table")
     p.add_argument("--plan", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_plan_show)
 
     p = sub.add_parser("layer-select", help="sensitivity-driven layer picking")
     p.add_argument("--profile", required=True, help="JSON file with per-layer scores")
     p.add_argument("--threshold", type=finite_non_negative_float, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_layer_select)
 
     p = sub.add_parser("loss-check", help="combined loss breakdown")
     p.add_argument("--fixture", default=None, help="JSON fixture with loss parts")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_loss_check)
 
     p = sub.add_parser("moba-trace", help="block selections per query")
@@ -492,9 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=positive_int, default=2)
     p.add_argument("--queries", default=None, help="query tensor file")
     p.add_argument("--keys", default=None, help="key tensor file")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_moba_trace)
 
+    for p in sub.choices.values():  # last, so each usage line ends with it
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -502,7 +462,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, record = args.func(args)
+        if not isinstance(record, str):
+            record = dict(record, schema_version=SCHEMA_VERSION, command=args.command)
+            # a NaN or infinity is not JSON: raise (exit 2) rather than write it
+            record = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(record + "\n")
+        return code
     except (ValueError, OSError) as exc:  # ShapeError and NumericsError are ValueErrors
         print(f"dssalab: error: {exc}", file=sys.stderr)
         return 2

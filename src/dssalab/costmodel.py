@@ -18,7 +18,9 @@ Memory: full and block-sparse layers hold the whole KV cache
 layers hold a fixed state of N*d*d_v*bytes and no KV.
 
 CostParams sets d, b and k. The rest are module constants: 2 bytes per
-value, N = 4 SSE partitions, SSE top-k 2, d_v = 128 and w = 128.
+value, N = 4 SSE partitions, SSE top-k 2, d_v = 128 and w = 128. N, the
+SSE top-k, w and the defaults of b and k are the paper's settings, read
+from stack.StackConfig's defaults so that each is written once.
 
 Costs add field by field: a merged sse_swa layer costs its SSE half plus
 its window half, and a plan costs its layers' costs added in plan order,
@@ -31,15 +33,15 @@ import math
 from dataclasses import astuple, dataclass, replace
 
 from .moba import activation_ratio
-from .stack import LayerPlan, default_plan
+from .stack import LayerPlan, StackConfig, default_plan
 from .tensor_ops import NumericsError
 
 FLOPS_PER_MAC = 2
 BYTES_PER_VALUE = 2
-SSE_PARTITIONS = 4
-SSE_TOP_K = 2
+SSE_PARTITIONS = StackConfig.sse_partitions
+SSE_TOP_K = StackConfig.sse_top_k
 SSE_VALUE_DIM = 128
-SWA_WINDOW = 128
+SWA_WINDOW = StackConfig.swa_window
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,8 @@ class CostParams:
     """Model width and the block-sparse layers' block size and top-k."""
 
     d_model: int = 4096
-    moba_block_size: int = 4096
-    moba_top_k: int = 12
+    moba_block_size: int = StackConfig.moba_block_size
+    moba_top_k: int = StackConfig.moba_top_k
 
     def __post_init__(self):
         if min(self.d_model, self.moba_block_size, self.moba_top_k) < 1:

@@ -45,8 +45,9 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 def _per_column(scales: np.ndarray, size: int, width: int) -> np.ndarray:
     """Per-tile scales along the last axis, each repeated over the `size`
-    columns of its tile; the last tile may be partial, so `width` cuts."""
-    return np.repeat(scales, size, axis=-1)[..., :width]
+    columns of its tile; the last tile may be partial, so `width` cuts (a
+    tile wider than `width` is repeated only `width` times)."""
+    return np.repeat(scales, min(size, width), axis=-1)[..., :width]
 
 
 @dataclass
@@ -117,7 +118,8 @@ def encode_groups(x, group_size: int, qmax: float, encode, dtype, caller: str):
     if group_size < 1:
         raise ValueError(f"group size must be >= 1, got {group_size}")
     d = x.shape[1]
-    amax = np.maximum.reduceat(np.abs(x), np.arange(0, d, group_size), axis=1)
+    # a group wider than x is one group; an integer step keeps arange integral
+    amax = np.maximum.reduceat(np.abs(x), np.arange(0, d, min(group_size, max(d, 1))), axis=1)
     scales = np.where(amax == 0.0, 1.0, amax / qmax)
     scaled = _per_column(scales, group_size, d)
     np.divide(x, scaled, out=scaled)  # in place: each full-size temporary raises peak RSS

@@ -164,6 +164,24 @@ def test_spike_report_fails_on_a_product_off_the_int8_reference(monkeypatch, ten
     assert json.loads(out)["matches_int8_reference"] is False
 
 
+@pytest.mark.parametrize("group_size", [2**62, 2**63, 2**64], ids=["2**62", "2**63", "2**64"])
+def test_spike_report_group_wider_than_the_tensor_is_one_group(tmp_path, group_size):
+    # near and past int64: the group starts must stay integers, and no
+    # scale may be repeated group_size times before the cut to the width
+    path = tmp_path / "t4x16.json"
+    tensorio.save_tensor_json(str(path), np.random.default_rng(12).normal(size=(4, 16)))
+    code, out = run_cli(["spike-report", "--input", str(path), "--group-size", str(group_size)])
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["matches_int8_reference"] is True
+    assert blob.pop("group_size") == group_size
+    code, out = run_cli(["spike-report", "--input", str(path), "--group-size", "16"])
+    assert code == 0
+    whole = json.loads(out)
+    assert whole.pop("group_size") == 16
+    assert blob == whole
+
+
 def test_spike_report_wide_row(tmp_path):
     # wider than 2**16: only a tile wider than 133,144 codes could overflow int32
     path = tmp_path / "wide.json"
@@ -397,17 +415,13 @@ def test_moba_trace_zero_rows(tmp_path):
     assert blob["selections"] == []
 
 
-def test_out_flag_writes_file_with_same_bytes(tmp_path):
-    code, stdout_text = run_cli(["plan-show"])
-    assert code == 0
-    out_path = tmp_path / "plan.txt"
-    code, piped = run_cli(["plan-show", "--out", str(out_path)])
-    assert code == 0
-    assert piped == ""
-    assert out_path.read_text() == stdout_text
+SUBCOMMANDS = ("attn-check", "quant-report", "spike-report", "scaling-table",
+               "plan-show", "layer-select", "loss-check", "moba-trace")
+TEXT_SUBCOMMANDS = ("scaling-table", "plan-show")  # the rest write JSON
 
 
-def test_every_subcommand_is_deterministic(tmp_path, tensor_file):
+def subcommand_argvs(tmp_path, tensor_file) -> dict[str, list[str]]:
+    """One clean argv per subcommand, keyed by its name."""
     profile, _ = make_dip_profile(seed=42)
     profile_path = tmp_path / "profile.json"
     profile_path.write_text(json.dumps(asdict(profile)))
@@ -421,7 +435,28 @@ def test_every_subcommand_is_deterministic(tmp_path, tensor_file):
         ["loss-check", "--seed", "7"],
         ["moba-trace", "--seed", "2", "--n", "8", "--d", "3", "--block-size", "2", "--top-k", "2"],
     ]
-    for argv in commands:
+    return {argv[0]: argv for argv in commands}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_out_flag_writes_file_with_same_bytes(tmp_path, tensor_file, command):
+    argv = subcommand_argvs(tmp_path, tensor_file)[command]
+    code, stdout_text = run_cli(argv)
+    assert code == 0
+    out_path = tmp_path / "record.out"
+    code, piped = run_cli([*argv, "--out", str(out_path)])
+    assert code == 0
+    assert piped == ""
+    assert out_path.read_bytes() == stdout_text.encode()
+    if command not in TEXT_SUBCOMMANDS:
+        blob = json.loads(stdout_text)
+        assert (blob["schema_version"], blob["command"]) == (1, command)
+
+
+def test_every_subcommand_is_deterministic(tmp_path, tensor_file):
+    commands = subcommand_argvs(tmp_path, tensor_file)
+    assert tuple(commands) == SUBCOMMANDS
+    for argv in commands.values():
         code_a, out_a = run_cli(argv)
         code_b, out_b = run_cli(argv)
         assert code_a == code_b == 0, argv
@@ -516,6 +551,8 @@ def test_error_paths_exit_two(tmp_path, capsys, tensor_file):
         ["loss-check", "--fixture",
          write("loss_null", '{"mode": "llm", "ce": null, "aux": 1.0, "kd": 1.0, "mse": 1.0}')],
         ["loss-check", "--fixture", write("loss_list", "[1.0, 2.0]")],
+        # a part out of its range, raised by the objective, not the reader
+        ["loss-check", "--fixture", write("loss_negative_mse", '{"ce": 1, "aux": 0, "kd": 1, "mse": -1}')],
         ["loss-check", "--fixture", write("loss_missing", '{"mode": "vlm", "kd": 1.0}')],
         ["loss-check", "--fixture",
          write("loss_huge_int", '{"ce": 1' + "0" * 400 + ', "aux": 1.0, "kd": 1.0, "mse": 1.0}')],
